@@ -13,7 +13,6 @@ from .compress import (
     BoundResult,
     CompressOutput,
     DEFAULT_COMPRESS_BUDGET,
-    PartialSolution,
     StepRecord,
     best_head_coefficient,
     compress,
@@ -35,6 +34,7 @@ from .generate import EndToEndReport, HiddenInstance, end_to_end, generate
 from .model import (
     Constraint,
     LevelCone,
+    PartialSolution,
     ProblemInput,
     SortedWitness,
     bound_value,
@@ -42,7 +42,6 @@ from .model import (
     unsort,
     validate,
 )
-from .numeric import Ratio, ceil_div, floor_div, ratio_cmp, ratio_make
 from .verify import (
     DEFAULT_VERIFY_BUDGET,
     Verdict,
@@ -71,7 +70,6 @@ __all__ = [
     "MissingHiddenSectionError",
     "PartialSolution",
     "ProblemInput",
-    "Ratio",
     "RejectionCapError",
     "SortedWitness",
     "StepRecord",
@@ -80,17 +78,13 @@ __all__ = [
     "best_head_coefficient",
     "bound_check",
     "bound_value",
-    "ceil_div",
     "coefficient_cap",
     "compress",
     "cone_membership",
     "end_to_end",
-    "floor_div",
     "generate",
     "level_membership",
     "matrix_check",
-    "ratio_cmp",
-    "ratio_make",
     "step",
     "tightest_lower",
     "tightest_upper",

@@ -4,7 +4,7 @@ All structured output is JSON on stdout; failures additionally print a
 machine-readable error object on stderr. Exit codes are part of the
 contract: 0 ok, 1 verification failed, 2 parse or usage error,
 3 validation error, 4 enumeration budget exceeded, 5 hidden section
-missing, 6 generator rejection cap reached.
+missing, 6 generator rejection cap reached, 7 internal error.
 """
 
 from __future__ import annotations
@@ -18,13 +18,14 @@ from . import io
 from .compress import DEFAULT_COMPRESS_BUDGET, CompressOutput, compress
 from .errors import (
     BudgetExceededError,
+    ConeCompressError,
     FormatError,
     MissingHiddenSectionError,
     RejectionCapError,
     ValidationError,
 )
 from .generate import DEFAULT_MAX_ENTRY, DEFAULT_SCALE, HiddenInstance, generate
-from .model import Constraint, ProblemInput
+from .model import Constraint, ProblemInput, unlimited_int_digits
 from .verify import DEFAULT_VERIFY_BUDGET, Verdict, bound_check, cone_membership, matrix_check
 
 EXIT_OK = 0
@@ -34,6 +35,7 @@ EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
 EXIT_MISSING_HIDDEN = 5
 EXIT_REJECTION_CAP = 6
+EXIT_INTERNAL = 7
 
 
 def _positive_int(text: str) -> int:
@@ -259,24 +261,28 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
-    try:
-        return args.handler(args)
-    except FormatError as exc:
-        _print_error("parse", str(exc))
-        return EXIT_PARSE
-    except MissingHiddenSectionError as exc:
-        _print_error("missing-hidden", str(exc))
-        return EXIT_MISSING_HIDDEN
-    except BudgetExceededError as exc:
-        required = None if exc.required is None else str(exc.required)
-        _print_error("budget", str(exc), required=required)
-        return EXIT_BUDGET
-    except RejectionCapError as exc:
-        _print_error("rejection-cap", str(exc))
-        return EXIT_REJECTION_CAP
-    except ValidationError as exc:
-        _print_error("validation", str(exc))
-        return EXIT_VALIDATION
+    with unlimited_int_digits():
+        try:
+            return args.handler(args)
+        except FormatError as exc:
+            _print_error("parse", str(exc))
+            return EXIT_PARSE
+        except MissingHiddenSectionError as exc:
+            _print_error("missing-hidden", str(exc))
+            return EXIT_MISSING_HIDDEN
+        except BudgetExceededError as exc:
+            required = None if exc.required is None else str(exc.required)
+            _print_error("budget", str(exc), required=required)
+            return EXIT_BUDGET
+        except RejectionCapError as exc:
+            _print_error("rejection-cap", str(exc))
+            return EXIT_REJECTION_CAP
+        except ValidationError as exc:
+            _print_error("validation", str(exc))
+            return EXIT_VALIDATION
+        except ConeCompressError as exc:
+            _print_error("internal", str(exc))
+            return EXIT_INTERNAL
 
 
 def entry() -> None:

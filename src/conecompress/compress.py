@@ -27,47 +27,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import BudgetExceededError, InternalInconsistencyError
+from .errors import InternalInconsistencyError
 from .model import (
     Constraint,
     LevelCone,
+    PartialSolution,
     ProblemInput,
     SortedWitness,
     bound_value,
+    check_budget,
     coefficient_cap,
-    coefficient_cap_exceeds,
-    coefficient_cap_if_small,
-    count_vs_budget,
-    pow_if_small,
+    scan_size,
     unsort,
     validate,
 )
 
 DEFAULT_COMPRESS_BUDGET = 10**8
-
-
-@dataclass(frozen=True)
-class PartialSolution:
-    """Integral assignment to coordinates level..n of the sorted problem."""
-
-    level: int
-    x: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
-        if not self.x:
-            raise ValueError("partial solution cannot be empty")
-        if any(v < 0 for v in self.x):
-            raise ValueError(f"partial solution has a negative entry: {self.x}")
-        if self.x[-1] < 1:
-            raise ValueError("last coordinate must stay >= 1")
-        if any(a > b for a, b in zip(self.x, self.x[1:])):
-            raise ValueError(f"partial solution must be non-decreasing: {self.x}")
-
-    @property
-    def n(self) -> int:
-        return self.level + len(self.x) - 1
 
 
 @dataclass(frozen=True)
@@ -86,9 +61,15 @@ class StepRecord:
     cap: int
     upper: BoundResult
     lower: BoundResult
-    chosen: Fraction
-    scale: int
     partial_after: PartialSolution
+
+    @property
+    def chosen(self) -> Fraction:
+        return self.upper.value
+
+    @property
+    def scale(self) -> int:
+        return self.upper.value.denominator
 
 
 @dataclass(frozen=True)
@@ -161,7 +142,6 @@ def _two_var_bound(
     witness: SortedWitness,
     tail: PartialSolution,
     cap: int,
-    budget: int,
     *,
     upper: bool,
 ) -> BoundResult:
@@ -172,12 +152,6 @@ def _two_var_bound(
     min(cap, floor(-c * y_head / y_last)); the witness is sorted and its
     last entry is positive, so that value always lies within [-cap, cap].
     """
-    if cap > budget:
-        raise BudgetExceededError(
-            f"bound at level {level} needs {cap} head coefficients, "
-            f"budget is {budget}",
-            required=cap,
-        )
     y_head = witness.y[level - 1]
     y_last = witness.y[level]
     x_last = tail.x[0]
@@ -197,19 +171,11 @@ def _tail_scan_bound(
     witness: SortedWitness,
     tail: PartialSolution,
     cap: int,
-    budget: int,
     *,
     upper: bool,
 ) -> BoundResult:
     """Bound via enumeration of tail coefficient vectors, heads resolved."""
     width = tail.n - level
-    exceeds, count = count_vs_budget(2 * cap + 1, width, budget)
-    if exceeds:
-        shown = "more than 2**16384" if count is None else str(count)
-        raise BudgetExceededError(
-            f"bound at level {level} needs {shown} tail vectors, budget is {budget}",
-            required=count,
-        )
     y_head = witness.y[level - 1]
     y_tail = witness.y[level:]
     xs = tail.x
@@ -231,6 +197,16 @@ def _tail_scan_bound(
     return BoundResult(value=Fraction(s, c), achieving=Constraint(level, (c,) + tau))
 
 
+def _scan_items(d: int, level: int, width: int) -> int | None:
+    """Items one bound scans at a level with ``width`` tail coordinates.
+
+    The widest level scans the heads 1..cap, (2*cap+1) // 2 of them; every
+    other level scans the (2*cap+1)**width tail vectors.
+    """
+    size = scan_size(d, level, width)
+    return size // 2 if width == 1 and size is not None else size
+
+
 def _bound(level, witness, tail, cap, budget, *, upper: bool) -> BoundResult:
     if tail.level != level + 1:
         raise ValueError(f"tail is at level {tail.level}, expected {level + 1}")
@@ -238,9 +214,11 @@ def _bound(level, witness, tail, cap, budget, *, upper: bool) -> BoundResult:
         raise ValueError("tail and witness dimensions differ")
     if not 1 <= level <= witness.n - 1:
         raise ValueError(f"level {level} out of range for n={witness.n}")
-    if tail.n - level == 1:
-        return _two_var_bound(level, witness, tail, cap, budget, upper=upper)
-    return _tail_scan_bound(level, witness, tail, cap, budget, upper=upper)
+    width = tail.n - level
+    check_budget(_scan_items(cap, 1, width), budget, f"bound at level {level}")
+    if width == 1:
+        return _two_var_bound(level, witness, tail, cap, upper=upper)
+    return _tail_scan_bound(level, witness, tail, cap, upper=upper)
 
 
 def tightest_upper(
@@ -271,15 +249,6 @@ def tightest_lower(
     return _bound(level, witness, tail, cap, budget, upper=False)
 
 
-def _required_if_over_budget(d: int, level: int, width: int) -> int | None:
-    cap = coefficient_cap_if_small(d, level)
-    if cap is None:
-        return None
-    if width == 1:
-        return cap
-    return pow_if_small(2 * cap + 1, width)
-
-
 def step(
     level: int,
     d: int,
@@ -295,14 +264,7 @@ def step(
     and reported as an internal inconsistency.
     """
     width = tail.n - level
-    if coefficient_cap_exceeds(d, level, budget):
-        required = _required_if_over_budget(d, level, width)
-        shown = "more than 2**16384" if required is None else str(required)
-        raise BudgetExceededError(
-            f"step at level {level} needs {shown} enumeration items, "
-            f"budget is {budget}",
-            required=required,
-        )
+    check_budget(_scan_items(d, level, width), budget, f"level {level}")
     cap = coefficient_cap(d, level)
     upper = tightest_upper(level, witness, tail, cap, budget)
     lower = tightest_lower(level, witness, tail, cap, budget)
@@ -312,10 +274,9 @@ def step(
             f"tightest upper bound {upper.value}"
         )
     chosen = upper.value
-    scale = chosen.denominator
     partial = PartialSolution(
         level=level,
-        x=(chosen.numerator,) + tuple(v * scale for v in tail.x),
+        x=(chosen.numerator,) + tuple(v * chosen.denominator for v in tail.x),
     )
     cone = LevelCone(level=level, cap=cap, y=witness.y)
     if not (cone.admits(upper.achieving.coeffs) and cone.admits(lower.achieving.coeffs)):
@@ -327,8 +288,6 @@ def step(
         cap=cap,
         upper=upper,
         lower=lower,
-        chosen=chosen,
-        scale=scale,
         partial_after=partial,
     )
 
@@ -341,10 +300,13 @@ def compress(
     Deterministic: the same input always yields the same output and trace.
     Scaling the witness by a positive integer leaves the result unchanged,
     because scaling does not change which constraints the witness
-    satisfies.
+    satisfies. Every level's scan is checked against the budget before
+    the first one runs.
     """
     witness = validate(problem)
     n, d = problem.n, problem.d
+    for level in range(n - 1, 0, -1):
+        check_budget(_scan_items(d, level, n - level), budget, f"level {level}")
     partial = PartialSolution(level=n, x=(1,))
     trace = []
     for level in range(n - 1, 0, -1):

@@ -51,7 +51,7 @@ class BudgetExceededError(ConeCompressError):
     """An enumeration would exceed the configured budget.
 
     ``required`` is the exact number of items the enumeration needs, or
-    None when that count is too large to materialize (beyond 2**16384).
+    None when the scan is too large to count (see ``model.scan_size``).
     """
 
     def __init__(self, message: str, required: int | None = None):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from random import Random
 
 from .compress import CompressOutput, compress, DEFAULT_COMPRESS_BUDGET
-from .errors import HiddenInstanceError, RejectionCapError
-from .model import ProblemInput, count_vs_budget, validate
+from .errors import BudgetExceededError, HiddenInstanceError, RejectionCapError
+from .model import ProblemInput, validate
 from .verify import (
     DEFAULT_VERIFY_BUDGET,
     Verdict,
@@ -174,11 +174,12 @@ def end_to_end(
     seconds["matrix"] = time.perf_counter() - start
 
     membership = None
-    exceeds, _ = count_vs_budget(2 * public.d + 1, public.n, membership_budget)
-    if not exceeds:
-        start = time.perf_counter()
+    start = time.perf_counter()
+    try:
         membership = cone_membership(x, public.y, public.d, membership_budget)
         seconds["membership"] = time.perf_counter() - start
+    except BudgetExceededError:
+        pass
 
     start = time.perf_counter()
     bound = bound_check(x, public.n, public.d)

@@ -1,4 +1,4 @@
-"""Instance and result files: JSON with decimal-string numerics.
+"""Instance and result files: JSON with decimal-string numbers.
 
 Witness and solution entries overflow 64-bit integers even at small
 dimensions, so every arbitrary-precision value is serialized as a decimal
@@ -15,15 +15,10 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .compress import (
-    BoundResult,
-    CompressOutput,
-    PartialSolution,
-    StepRecord,
-)
+from .compress import BoundResult, CompressOutput, StepRecord
 from .errors import FormatError
 from .generate import HiddenInstance
-from .model import Constraint, ProblemInput, unsort, validate
+from .model import Constraint, PartialSolution, ProblemInput, unsort, validate
 
 TRACE_VERSION = 1
 
@@ -187,6 +182,11 @@ def decode_result(data: object) -> CompressOutput:
         upper = _decode_bound_result(raw.get("upper"), level, f"{where}.upper")
         lower = _decode_bound_result(raw.get("lower"), level, f"{where}.lower")
         scale = _str_int(raw.get("scale"), f"{where}.scale")
+        if scale != upper.value.denominator:
+            raise FormatError(
+                f"{where}: scale {scale} does not match "
+                f"the chosen denominator {upper.value.denominator}"
+            )
         partial_x = tuple(_str_list(raw, "partial", where))
         try:
             partial = PartialSolution(level=level, x=partial_x)
@@ -194,13 +194,7 @@ def decode_result(data: object) -> CompressOutput:
             raise FormatError(f"{where}: bad partial solution: {exc}") from exc
         steps.append(
             StepRecord(
-                level=level,
-                cap=cap,
-                upper=upper,
-                lower=lower,
-                chosen=upper.value,
-                scale=scale,
-                partial_after=partial,
+                level=level, cap=cap, upper=upper, lower=lower, partial_after=partial
             )
         )
     return CompressOutput(x=x, trace=tuple(steps), bound=bound, perm=perm)
@@ -217,11 +211,6 @@ def replay(result: CompressOutput) -> tuple[int, ...]:
     """Re-run the trace's rescale-and-assign arithmetic; must rebuild x."""
     current: list[int] = [1]
     for rec in result.trace:
-        if rec.scale != rec.upper.value.denominator:
-            raise FormatError(
-                f"step at level {rec.level}: scale {rec.scale} does not match "
-                f"the chosen denominator {rec.upper.value.denominator}"
-            )
         current = [rec.upper.value.numerator] + [v * rec.scale for v in current]
         if tuple(current) != rec.partial_after.x:
             raise FormatError(

@@ -11,12 +11,15 @@ form for the guaranteed bound on the output's maximum entry.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import (
+    BudgetExceededError,
     MalformedPermutationError,
     NegativeEntryError,
     NonPositiveCapError,
@@ -25,8 +28,8 @@ from .errors import (
     ZeroWitnessError,
 )
 
-# Counts above 2**_MATERIALIZE_BITS are never materialized; budget errors
-# then report the count as unknown rather than building a gigantic int.
+# Scan sizes above 2**_MATERIALIZE_BITS are never materialized; budget
+# errors then report the count as unknown rather than building a gigantic int.
 _MATERIALIZE_BITS = 16384
 
 
@@ -54,6 +57,30 @@ class SortedWitness:
     @property
     def n(self) -> int:
         return len(self.y)
+
+
+@dataclass(frozen=True)
+class PartialSolution:
+    """Integral assignment to coordinates level..n of the sorted problem."""
+
+    level: int
+    x: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.level < 1:
+            raise ValueError(f"level must be >= 1, got {self.level}")
+        if not self.x:
+            raise ValueError("partial solution cannot be empty")
+        if any(v < 0 for v in self.x):
+            raise ValueError(f"partial solution has a negative entry: {self.x}")
+        if self.x[-1] < 1:
+            raise ValueError("last coordinate must stay >= 1")
+        if any(a > b for a, b in zip(self.x, self.x[1:])):
+            raise ValueError(f"partial solution must be non-decreasing: {self.x}")
+
+    @property
+    def n(self) -> int:
+        return self.level + len(self.x) - 1
 
 
 @dataclass(frozen=True)
@@ -106,10 +133,6 @@ class LevelCone:
             return False
         return sum(c * yv for c, yv in zip(coeffs, self.tail_y())) <= 0
 
-    def constraint_count(self) -> int | None:
-        """Total coefficient vectors to scan, or None if beyond 2**16384."""
-        return pow_if_small(2 * self.cap + 1, self.width)
-
     def constraints(self) -> Iterator[Constraint]:
         """All constraints in lexicographic coefficient order."""
         y = self.tail_y()
@@ -152,55 +175,57 @@ def coefficient_cap(d: int, level: int) -> int:
     return (2 * d) ** (2 ** (level - 1)) // 2
 
 
-def coefficient_cap_exceeds(d: int, level: int, limit: int) -> bool:
-    """Whether coefficient_cap(d, level) > limit, without materializing it.
+def scan_size(d: int, level: int, width: int) -> int | None:
+    """(2*coefficient_cap(d, level)+1)**width, or None past 2**16384.
 
-    Needed because the cap's bit length is itself exponential in level.
+    The number of coefficient vectors of this width within the level's cap.
+    The cap's bit length is exponential in level, so a lower estimate of
+    the size's bit length, width * (bit_length(2d)-1) * 2**(level-1), rules
+    out huge sizes before anything is built. coefficient_cap(c, 1) is c, so
+    scan_size(c, 1, width) sizes a scan at a known cap c.
     """
-    if d < 1 or level < 1:
-        raise ValueError("requires d >= 1 and level >= 1")
-    if limit < 0:
-        return True
-    bits = (2 * max(limit, 1)).bit_length()
-    # exponent e = 2**(level-1); if e >= bits then (2d)**e >= 2**bits > 2*limit
-    if level - 1 >= bits.bit_length():
-        return True
-    e = 2 ** (level - 1)
-    if e >= bits:
-        return True
-    return (2 * d) ** e > 2 * limit
-
-
-def coefficient_cap_if_small(d: int, level: int) -> int | None:
-    """coefficient_cap(d, level), or None when it exceeds 2**16384."""
-    e = 2 ** (level - 1) if level - 1 < 64 else None
-    if e is None or e * (2 * d).bit_length() > _MATERIALIZE_BITS:
+    if d < 1 or level < 1 or width < 1:
+        raise ValueError(f"requires d, level, width >= 1, got {d, level, width}")
+    if level - 1 >= _MATERIALIZE_BITS.bit_length():  # keeps the shift below small
         return None
-    return coefficient_cap(d, level)
-
-
-def pow_if_small(base: int, exp: int) -> int | None:
-    """base**exp, or None when the result would exceed 2**16384."""
-    if base <= 1:
-        return base**exp if base >= 0 else None
-    if exp * base.bit_length() > _MATERIALIZE_BITS:
+    if width * ((2 * d).bit_length() - 1) << (level - 1) >= _MATERIALIZE_BITS:
         return None
-    return base**exp
+    size = (2 * coefficient_cap(d, level) + 1) ** width
+    return None if size > 1 << _MATERIALIZE_BITS else size
 
 
-def count_vs_budget(base: int, exp: int, budget: int) -> tuple[bool, int | None]:
-    """Compare base**exp against a budget without huge intermediates.
+def check_budget(items: int | None, budget: int, what: str) -> None:
+    """Raise BudgetExceededError when a scan of ``items`` exceeds the budget.
 
-    Returns (exceeds, count) where count is the exact value when it is
-    small enough to materialize, else None.
+    None stands for a scan too large to count (see scan_size). Such a scan
+    cannot finish, so it is over any budget.
     """
-    if base < 2 or exp == 0:
-        v = base**exp
-        return v > budget, v
-    if exp * (base.bit_length() - 1) > budget.bit_length():
-        return True, pow_if_small(base, exp)
-    v = base**exp
-    return v > budget, v
+    if items is not None and items <= budget:
+        return
+    with unlimited_int_digits():
+        shown = "too many items to count" if items is None else f"{items} items"
+        raise BudgetExceededError(
+            f"{what} needs {shown}, budget is {budget}", required=items
+        )
+
+
+@contextmanager
+def unlimited_int_digits() -> Iterator[None]:
+    """Lift Python's limit on decimal int<->str conversion for a block.
+
+    Entries, bounds and scan sizes can exceed the default 4300 digits.
+    Python 3.10.0-3.10.6 has no limit and no setter.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(previous)
 
 
 def bound_value(n: int, d: int) -> Fraction:

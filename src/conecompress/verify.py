@@ -12,22 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .compress import PartialSolution
-from .errors import (
-    BudgetExceededError,
-    DimensionMismatchError,
-    EntryOutOfRangeError,
-)
+from .errors import DimensionMismatchError, EntryOutOfRangeError
 from .model import (
     Constraint,
     LevelCone,
+    PartialSolution,
     SortedWitness,
     bound_value,
+    check_budget,
     coefficient_cap,
-    coefficient_cap_exceeds,
-    coefficient_cap_if_small,
-    count_vs_budget,
-    pow_if_small,
+    scan_size,
 )
 
 DEFAULT_VERIFY_BUDGET = 10**7
@@ -47,16 +41,6 @@ class Verdict:
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
-
-
-def _check_budget(base: int, exp: int, budget: int, what: str) -> None:
-    exceeds, count = count_vs_budget(base, exp, budget)
-    if exceeds:
-        shown = "more than 2**16384" if count is None else str(count)
-        raise BudgetExceededError(
-            f"{what} needs {shown} coefficient vectors, budget is {budget}",
-            required=count,
-        )
 
 
 def _scan(cone: LevelCone, x: Sequence[int]) -> Verdict:
@@ -85,7 +69,7 @@ def cone_membership(
         raise DimensionMismatchError(
             f"vector has {len(x)} entries, witness has {len(y)}"
         )
-    _check_budget(2 * d + 1, len(y), budget, "membership scan")
+    check_budget(scan_size(d, 1, len(y)), budget, "membership scan")
     return _scan(LevelCone(level=1, cap=d, y=y), tuple(x))
 
 
@@ -104,17 +88,8 @@ def level_membership(
             f"partial solution spans {p.n} coordinates, witness has {n}"
         )
     width = n + 1 - p.level
-    if coefficient_cap_exceeds(d, p.level, budget):
-        cap = coefficient_cap_if_small(d, p.level)
-        required = None if cap is None else pow_if_small(2 * cap + 1, width)
-        shown = "more than 2**16384" if required is None else str(required)
-        raise BudgetExceededError(
-            f"level membership scan needs {shown} coefficient vectors, "
-            f"budget is {budget}",
-            required=required,
-        )
+    check_budget(scan_size(d, p.level, width), budget, "level membership scan")
     cap = coefficient_cap(d, p.level)
-    _check_budget(2 * cap + 1, width, budget, "level membership scan")
     return _scan(LevelCone(level=p.level, cap=cap, y=witness.y), p.x)
 
 

@@ -8,7 +8,11 @@ import pytest
 from conecompress import ProblemInput, compress, generate
 from conecompress import io
 from conecompress.cli import main
-from conecompress.errors import FormatError, RejectionCapError
+from conecompress.errors import (
+    FormatError,
+    InternalInconsistencyError,
+    RejectionCapError,
+)
 
 
 @pytest.fixture
@@ -264,6 +268,54 @@ class TestFileRoundTrips:
         doc["x"][0] = "2"
         with pytest.raises(FormatError):
             io.replay(io.decode_result(doc))
+        doc = io.encode_result(result)
+        doc["steps"][0]["scale"] = "5"
+        with pytest.raises(FormatError):
+            io.replay(io.decode_result(doc))
+
+
+class TestNumbersPastTheDecimalDigitLimit:
+    """Python refuses int<->str conversions past 4300 digits by default."""
+
+    def run_module(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "conecompress", *map(str, argv)],
+            capture_output=True,
+            text=True,
+        )
+
+    def test_bound_prints_every_digit(self):
+        proc = self.run_module("bound", "--n", 15, "--d", 1)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(proc.stdout.strip()) == 4928  # 2**16369
+
+    def test_compress_reads_and_writes_huge_entries(self, tmp_path):
+        big = "9" * 5000
+        inst = tmp_path / "big.json"
+        io.write_json(inst, {"n": 3, "d": 1, "y": ["2", "3", big]})
+        out = tmp_path / "r.json"
+        proc = self.run_module("compress", inst, out)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["x"] == ["1", "1", "2"]
+
+    def test_budget_error_reports_a_huge_required_count(self, tmp_path):
+        inst = tmp_path / "wide.json"
+        io.write_json(inst, {"n": 14, "d": 7, "y": [str(v) for v in range(1, 15)]})
+        proc = self.run_module("compress", inst, tmp_path / "r.json")
+        assert proc.returncode == 4
+        error = json.loads(proc.stderr)["error"]
+        assert error["code"] == "budget"
+        assert len(error["required"]) == 4695  # level 13 cap, 14**4096 // 2
+
+
+def test_internal_error_exit(worked_instance, tmp_path, capsys, monkeypatch):
+    def broken(problem, budget):
+        raise InternalInconsistencyError("tightest lower bound above upper")
+
+    monkeypatch.setattr("conecompress.cli.compress", broken)
+    code, out, err = run_cli(capsys, "compress", worked_instance, tmp_path / "r.json")
+    assert (code, out) == (7, "")
+    assert json.loads(err)["error"]["code"] == "internal"
 
 
 def test_console_entry_point_runs():

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 from random import Random
 
@@ -274,6 +275,23 @@ class TestCompress:
     def test_astronomical_budget_requirement_reported_as_unknown(self):
         with pytest.raises(BudgetExceededError) as info:
             compress(ProblemInput(20, 2, tuple(range(1, 21))), budget=10**9)
+        assert info.value.required is None
+
+    def test_over_budget_level_rejected_before_any_level_runs(self, monkeypatch):
+        # level 4 (839808 heads) fits, level 3 (1297**2 tail vectors) does not
+        def no_step(*args, **kwargs):
+            raise AssertionError("a level ran before the budget check")
+
+        module = importlib.import_module("conecompress.compress")
+        monkeypatch.setattr(module, "step", no_step)
+        with pytest.raises(BudgetExceededError) as info:
+            compress(ProblemInput(5, 3, (3, 5, 7, 11, 13)), budget=10**6)
+        assert info.value.required == 1682209 == 1297**2
+
+    def test_step_rejects_huge_level_without_materializing(self):
+        w = validate(ProblemInput(101, 1, tuple(range(1, 102))))
+        with pytest.raises(BudgetExceededError) as info:
+            step(100, 1, w, PartialSolution(101, (1,)))
         assert info.value.required is None
 
 

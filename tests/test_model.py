@@ -22,12 +22,8 @@ from conecompress.errors import (
     WitnessLengthError,
     ZeroWitnessError,
 )
-from conecompress.model import (
-    coefficient_cap_exceeds,
-    coefficient_cap_if_small,
-    count_vs_budget,
-    pow_if_small,
-)
+from conecompress.errors import BudgetExceededError
+from conecompress.model import check_budget, scan_size, unlimited_int_digits
 
 
 class TestValidate:
@@ -92,29 +88,61 @@ class TestCoefficientCap:
             coefficient_cap(1, 0)
 
 
-class TestCapGuards:
-    @pytest.mark.parametrize("d,level", [(1, 1), (1, 5), (2, 4), (3, 3)])
-    def test_exceeds_agrees_with_direct_comparison(self, d, level):
-        cap = coefficient_cap(d, level)
-        for limit in (1, cap - 1, cap, cap + 1, cap * 10):
-            if limit < 1:
-                continue
-            assert coefficient_cap_exceeds(d, level, limit) == (cap > limit)
+class TestScanSize:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    @pytest.mark.parametrize("width", [1, 2, 3, 5])
+    def test_exact_against_direct_computation(self, d, level, width):
+        direct = (2 * coefficient_cap(d, level) + 1) ** width
+        assert scan_size(d, level, width) == direct
 
-    def test_huge_levels_do_not_materialize(self):
-        assert coefficient_cap_exceeds(1, 100, 10**18)
-        assert coefficient_cap_exceeds(10**9, 64, 10**18)
-        assert coefficient_cap_if_small(1, 100) is None
+    def test_known_cap(self):
+        # coefficient_cap(c, 1) == c, so level 1 sizes a scan at cap c
+        assert scan_size(8, 1, 2) == 17**2
+        assert scan_size(2**31, 1, 1) == 2**32 + 1
 
-    def test_pow_if_small(self):
-        assert pow_if_small(3, 4) == 81
-        assert pow_if_small(2, 100000) is None
+    def test_threshold_is_exact(self):
+        # d = 1: 2*cap+1 = 2**(2**(level-1)) + 1, just past 2**16384 at level 15
+        assert scan_size(1, 14, 1) == 2**8192 + 1
+        assert scan_size(1, 14, 2) is None
+        assert scan_size(1, 15, 1) is None
+        assert scan_size(2**16383 - 1, 1, 1) == 2**16384 - 1
+        assert scan_size(2**16383, 1, 1) is None
 
-    def test_count_vs_budget(self):
-        assert count_vs_budget(3, 4, 100) == (False, 81)
-        assert count_vs_budget(3, 4, 80) == (True, 81)
-        exceeds, count = count_vs_budget(2, 10**6, 10**9)
-        assert exceeds and count is None
+    def test_huge_sizes_do_not_materialize(self):
+        assert scan_size(1, 100, 1) is None
+        assert scan_size(10**9, 64, 1) is None
+        assert scan_size(1, 2**64, 3) is None
+        assert scan_size(10**20000, 1, 1) is None
+
+    def test_rejects_bad_arguments(self):
+        for args in [(0, 1, 1), (1, 0, 1), (1, 1, 0)]:
+            with pytest.raises(ValueError):
+                scan_size(*args)
+
+
+class TestCheckBudget:
+    def test_within_budget(self):
+        check_budget(81, 81, "scan")
+
+    def test_over_budget_carries_required(self):
+        with pytest.raises(BudgetExceededError) as info:
+            check_budget(81, 80, "scan")
+        assert info.value.required == 81
+        assert "81 items" in str(info.value)
+
+    def test_uncountable_is_over_any_budget(self):
+        with pytest.raises(BudgetExceededError) as info:
+            check_budget(None, 10**100, "scan")
+        assert info.value.required is None
+
+    def test_message_states_counts_past_the_decimal_digit_limit(self):
+        items = 10**5000
+        with pytest.raises(BudgetExceededError) as info:
+            check_budget(items, 1, "scan")
+        assert info.value.required == items
+        with unlimited_int_digits():
+            assert str(items) in str(info.value)
 
 
 class TestBoundValue:
@@ -162,10 +190,6 @@ class TestLevelCone:
         assert not cone.admits((1, 0))  # witness violates it
         assert not cone.admits((9, -9))  # over the cap
         assert not cone.admits((1, -1, 0))  # wrong width
-
-    def test_constraint_count(self):
-        cone = LevelCone(level=3, cap=8, y=(2, 3, 7, 29))
-        assert cone.constraint_count() == 17**2
 
     def test_constraints_are_admissible_and_lex_sorted(self):
         cone = LevelCone(level=1, cap=1, y=(2, 5))

@@ -106,6 +106,16 @@ class TestLevelMembership:
         with pytest.raises(DimensionMismatchError):
             level_membership(PartialSolution(2, (1,)), w, 1)
 
+    def test_budget_gate(self):
+        w = validate(ProblemInput(4, 1, Y4))
+        with pytest.raises(BudgetExceededError) as info:
+            level_membership(PartialSolution(3, (1, 4)), w, 1, budget=288)
+        assert info.value.required == 17**2  # cap 8, width 2
+        w = validate(ProblemInput(30, 1, tuple(range(1, 31))))
+        with pytest.raises(BudgetExceededError) as info:
+            level_membership(PartialSolution(29, (1, 1)), w, 1)
+        assert info.value.required is None
+
 
 class TestMatrixCheck:
     def test_admissible_rows_accept_solution(self):
