@@ -14,7 +14,6 @@ from .compress import (
     CompressOutput,
     DEFAULT_COMPRESS_BUDGET,
     StepRecord,
-    best_head_coefficient,
     compress,
     step,
     tightest_lower,
@@ -75,7 +74,6 @@ __all__ = [
     "StepRecord",
     "ValidationError",
     "Verdict",
-    "best_head_coefficient",
     "bound_check",
     "bound_value",
     "coefficient_cap",

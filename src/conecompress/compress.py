@@ -13,12 +13,14 @@ partial solution by that reduced denominator restores integrality, and
 the product of the caps bounds the final entries.
 
 A constraint at level j looks like c_j x(j) + sum(c_i x(i), i > j) <= 0.
-Rather than scanning every full coefficient vector, the enumerators scan
-only the tail coefficients (c_{j+1}, ..., c_n) and resolve the head c_j
-in closed form; at the first level (j = n-1, the largest cap by far) they
-instead scan the head and resolve the single tail coefficient, so the
-cost per bound is one pass over [1, cap]. Enumeration sizes are checked
-against a budget up front and never run open-ended.
+Each bound loops over the prefixes (c_{j+1}, ..., c_{n-1}) of the tail,
+every tail coefficient but the last. With the prefix fixed, the best last
+coefficient for a head c is a clamped ceiling of a linear function of c,
+so the best head is the point of a lattice staircase seen at the least
+slope from a fixed point, found by a Euclid-style walk in O(log cap)
+steps however long the witness entries are. A level thus costs
+(2*cap+1)**(n-j-1) walks, one at the widest level; that count is checked
+against a budget for every level before the first one runs.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from .errors import InternalInconsistencyError
 from .model import (
@@ -82,143 +85,170 @@ class CompressOutput:
     perm: tuple[int, ...]
 
 
-def best_head_coefficient(
-    s: int, t: int, y_head: int, cap: int, *, upper: bool
-) -> int | None:
-    """Resolve the head coefficient in closed form for one fixed tail.
+def _walk(qx: int, qy: int, den: int, a: int, b: int, m: int, n: int) -> int:
+    """Smallest t in [0, n) minimizing the slope from Q to (t, ceil((a*t+b)/m)).
 
-    Here s = -sum(c_i * x(i)) and t = -sum(c_i * y(i)) over the tail, so a
-    head coefficient c is admissible iff c * y_head <= t, and the bound it
-    induces on x(level) is s / c. Returns the admissible c in [1, cap]
-    minimizing s / c (upper case) or in [-cap, -1] maximizing it (lower
-    case), or None when no head coefficient is admissible. When s = 0
-    every admissible c induces the same bound and the one closest to zero
-    is returned, matching the global tie-break on smallest magnitude.
+    Q = (qx/den, qy/den) lies strictly left of t = 0. Shearing by a // m
+    and shifting by the rounded b/m keep the slope order and leave
+    0 <= a < m with a first point at height 0. If Q is at or above that
+    height, t = 0 wins. Otherwise only the right ends of the steps (and
+    the last point) can win; swapping the axes makes them a floor
+    staircase of slope m/a, whose best point is the maximum slope from
+    the swapped Q, and symmetrically back. Each swap is one Euclid step
+    on (m, a), so the loop runs O(log n) times. Each frame remembers the
+    one point its reduced problem leaves out, compared on the way back.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    if upper:
-        if y_head > 0:
-            hi = min(cap, t // y_head)
-            if hi < 1:
-                return None
+    frames = []
+    ceiling = True
+    while True:
+        k, a = divmod(a, m)
+        s = -(-b // m) if ceiling else b // m
+        b -= s * m
+        qy -= k * qx + s * den
+        if ceiling:
+            if qy >= 0:
+                t = 0
+                break
+            last = -(-(a * (n - 1) + b) // m)
+            if last == 0:
+                t = n - 1
+                break
+            # right ends of steps 0..last-1: t_v = (v*m - b) // a
+            frames.append((True, qx, qy, a, b, m, n, last))
+            qx, qy, a, b, m, n = qy, qx, m, -b, a, last
+            ceiling = False
+            continue
+        last = (a * (n - 1) + b) // m
+        t0 = 0
+        if qy >= 0:
+            # only points above Q can have a positive slope
+            v = qy // den + 1
+            if last < v:
+                if last * den != qy:
+                    t = n - 1  # every slope is negative
+                else:  # slope 0 is the best: the first point at height last
+                    t = -((b - last * m) // a) if last else 0
+                break
+            t0 = -((b - v * m) // a)
+            b += a * t0 - v * m
+            qx -= t0 * den
+            qy -= v * den
+            n -= t0
+            last -= v
+        if last == 0:
+            t = t0
+            break
+        # left ends of steps 1..last: t_v = ceil((v*m - b) / a)
+        frames.append((False, qx, qy, a, b, m, n, t0))
+        qx, qy, a, b, m, n = qy - den, qx, m, m - b, a, last
+        ceiling = True
+    for ceiling, qx, qy, a, b, m, n, extra in reversed(frames):
+        if ceiling:
+            v, t = t, (t * m - b) // a
+            if (extra * den - qy) * (t * den - qx) < (v * den - qy) * (
+                (n - 1) * den - qx
+            ):
+                t = n - 1
         else:
-            if t < 0:
-                return None
-            hi = cap
-        return hi if s > 0 else 1
-    if y_head > 0:
-        hi = min(-1, t // y_head)
-        if hi < -cap:
-            return None
-    else:
-        if t < 0:
-            return None
-        hi = -1
-    return -cap if s > 0 else hi
+            v = t + 1
+            t = -((b - v * m) // a)
+            t = extra + (t if (v * den - qy) * -qx > -qy * (t * den - qx) else 0)
+    return t
 
 
-def _better(s_new: int, c_new: int, tau_new, best, *, upper: bool) -> bool:
-    """Candidate order: bound value first, then |head|, then tail lex.
+def _heads(a: int, k: int, cap: int) -> tuple[int, int] | None:
+    """The heads c in [1, cap] with a*c <= k, as (lo, hi), or None."""
+    if a > 0:
+        return (1, min(cap, k // a)) if k >= a else None
+    if a < 0:
+        lo = max(1, -(-k // a))
+        return (lo, cap) if lo <= cap else None
+    return (1, cap) if k >= 0 else None
 
-    Values s/c are compared by cross multiplication; both heads share a
-    sign within one call, so the product of the heads is positive and the
-    comparison direction is fixed.
-    """
-    if best is None:
+
+def _precedes(new: tuple[int, int, int], old) -> bool:
+    """(num/c, c) order on (num, c, g) candidates; None is last."""
+    if old is None:
         return True
-    s_old, c_old, tau_old = best
-    lhs = s_new * c_old
-    rhs = s_old * c_new
-    if lhs != rhs:
-        return lhs < rhs if upper else lhs > rhs
-    if c_new != c_old:
-        return c_new < c_old if upper else c_new > c_old
-    return tau_new < tau_old
+    lhs, rhs = new[0] * old[1], old[0] * new[1]
+    return lhs < rhs or (lhs == rhs and new[1] < old[1])
 
 
-def _two_var_bound(
-    level: int,
-    witness: SortedWitness,
-    tail: PartialSolution,
-    cap: int,
-    *,
-    upper: bool,
-) -> BoundResult:
-    """Bound at the widest level (one tail coordinate): scan heads.
+def _best_head(a: int, py: int, px: int, y_last: int, x_last: int, cap: int):
+    """Minimize (x_last*G(c) - px)/c over heads c in [1, cap], smallest c first.
 
-    For a fixed head c the induced bound -c_n * x(n) / c is optimized in
-    both directions by the largest admissible tail coefficient, which is
-    min(cap, floor(-c * y_head / y_last)); the witness is sorted and its
-    last entry is positive, so that value always lies within [-cap, cap].
+    G(c) = max(-cap, ceil((a*c + py)/y_last)) is minus the best last
+    coefficient for head c; c is admissible iff G(c) <= cap. Returns
+    (x_last*G(c) - px, c, G(c)), or None when no head is admissible.
+    The clamped heads (G = -cap) share one numerator, so the best of them
+    is an end of their range; the rest is one lattice walk.
     """
-    y_head = witness.y[level - 1]
-    y_last = witness.y[level]
-    x_last = tail.x[0]
-    heads = range(1, cap + 1) if upper else range(-1, -cap - 1, -1)
+    feasible = _heads(a, cap * y_last - py, cap)
+    if feasible is None:
+        return None
+    lo, hi = feasible
     best = None
-    for c in heads:
-        c_tail = min(cap, (-c * y_head) // y_last)
-        s = -c_tail * x_last
-        if _better(s, c, (c_tail,), best, upper=upper):
-            best = (s, c, (c_tail,))
-    s, c, tau = best
-    return BoundResult(value=Fraction(s, c), achieving=Constraint(level, (c,) + tau))
-
-
-def _tail_scan_bound(
-    level: int,
-    witness: SortedWitness,
-    tail: PartialSolution,
-    cap: int,
-    *,
-    upper: bool,
-) -> BoundResult:
-    """Bound via enumeration of tail coefficient vectors, heads resolved."""
-    width = tail.n - level
-    y_head = witness.y[level - 1]
-    y_tail = witness.y[level:]
-    xs = tail.x
-    best = None
-    for tau in product(range(-cap, cap + 1), repeat=width):
-        t = 0
-        s = 0
-        for ci, yi, xi in zip(tau, y_tail, xs):
-            t -= ci * yi
-            s -= ci * xi
-        c = best_head_coefficient(s, t, y_head, cap, upper=upper)
-        if c is not None and _better(s, c, tau, best, upper=upper):
-            best = (s, c, tau)
-    if best is None:
-        # Unreachable for a sorted witness: (head, -1, 0, ...) is always
-        # admissible for the upper case and (-1, 0, ...) for the lower.
-        raise InternalInconsistencyError(f"no admissible constraint at level {level}")
-    s, c, tau = best
-    return BoundResult(value=Fraction(s, c), achieving=Constraint(level, (c,) + tau))
+    clamped = _heads(a, -cap * y_last - py, cap)
+    if clamped is not None:
+        num = -cap * x_last - px
+        best = (num, clamped[1] if num > 0 else clamped[0], -cap)
+        if a > 0:
+            lo = clamped[1] + 1
+        else:
+            hi = clamped[0] - 1
+    if lo <= hi:
+        c = lo + _walk(-lo * x_last, px, x_last, a, a * lo + py, y_last, hi - lo + 1)
+        g = -(-(a * c + py) // y_last)
+        candidate = (x_last * g - px, c, g)
+        if _precedes(candidate, best):
+            best = candidate
+    return best
 
 
 def _scan_items(d: int, level: int, width: int) -> int | None:
-    """Items one bound scans at a level with ``width`` tail coordinates.
+    """Lattice walks one bound runs at a level with ``width`` tail coordinates.
 
-    The widest level scans the heads 1..cap, (2*cap+1) // 2 of them; every
-    other level scans the (2*cap+1)**width tail vectors.
+    One walk per prefix: (2*cap+1)**(width-1). The widest level has the
+    empty prefix only, and counts as None when its cap is too large to
+    build (see scan_size).
     """
-    size = scan_size(d, level, width)
-    return size // 2 if width == 1 and size is not None else size
+    if width == 1:
+        return None if scan_size(d, level, 1) is None else 1
+    return scan_size(d, level, width - 1)
 
 
 def _bound(level, witness, tail, cap, budget, *, upper: bool) -> BoundResult:
+    """One lattice walk per prefix (every tail coefficient but the last).
+
+    The lower bound with head -e is the upper bound's problem with the
+    head entry negated, so both directions share _best_head. Prefixes run
+    in lexicographic order and a later one wins only on a strictly better
+    (value, |head|), which reproduces the tie-break on the tail.
+    """
     if tail.level != level + 1:
         raise ValueError(f"tail is at level {tail.level}, expected {level + 1}")
     if tail.n != witness.n:
         raise ValueError("tail and witness dimensions differ")
     if not 1 <= level <= witness.n - 1:
         raise ValueError(f"level {level} out of range for n={witness.n}")
-    width = tail.n - level
-    check_budget(_scan_items(cap, 1, width), budget, f"bound at level {level}")
-    if width == 1:
-        return _two_var_bound(level, witness, tail, cap, upper=upper)
-    return _tail_scan_bound(level, witness, tail, cap, upper=upper)
+    check_budget(_scan_items(cap, 1, tail.n - level), budget, f"bound at level {level}")
+    a = witness.y[level - 1] if upper else -witness.y[level - 1]
+    y_mid, y_last = witness.y[level:-1], witness.y[-1]
+    x_mid, x_last = tail.x[:-1], tail.x[-1]
+    best = None
+    for prefix in product(range(-cap, cap + 1), repeat=len(x_mid)):
+        py = sum(map(mul, prefix, y_mid))
+        px = sum(map(mul, prefix, x_mid))
+        candidate = _best_head(a, py, px, y_last, x_last, cap)
+        if candidate is not None and _precedes(candidate, best):
+            best = candidate + (prefix,)
+    if best is None:
+        # Unreachable for a sorted witness: (head, -1, 0, ...) is always
+        # admissible for the upper case and (-1, 0, ...) for the lower.
+        raise InternalInconsistencyError(f"no admissible constraint at level {level}")
+    num, c, g, prefix = best
+    head, value = (c, Fraction(num, c)) if upper else (-c, Fraction(-num, c))
+    return BoundResult(value=value, achieving=Constraint(level, (head, *prefix, -g)))
 
 
 def tightest_upper(

@@ -4,7 +4,8 @@ Witness and solution entries overflow 64-bit integers even at small
 dimensions, so every arbitrary-precision value is serialized as a decimal
 string; only structural fields (n, d, seed, levels, trace_version) are
 native JSON integers. Emission is canonical, so identical objects produce
-identical bytes.
+identical bytes. The public encoders and decoders accept numbers of any
+length: each lifts Python's int<->str digit limit for its document.
 """
 
 from __future__ import annotations
@@ -18,11 +19,18 @@ from pathlib import Path
 from .compress import BoundResult, CompressOutput, StepRecord
 from .errors import FormatError
 from .generate import HiddenInstance
-from .model import Constraint, PartialSolution, ProblemInput, unsort, validate
+from .model import (
+    Constraint,
+    PartialSolution,
+    ProblemInput,
+    unlimited_int_digits,
+    unsort,
+    validate,
+)
 
 TRACE_VERSION = 1
 
-_DECIMAL = re.compile(r"^-?(0|[1-9][0-9]*)$")
+_DECIMAL = re.compile(r"-?(0|[1-9][0-9]*)")
 
 
 def _to_str(v: int) -> str:
@@ -37,7 +45,7 @@ def _int_field(obj: dict, key: str, where: str) -> int:
 
 
 def _str_int(v: object, where: str) -> int:
-    if not isinstance(v, str) or not _DECIMAL.match(v):
+    if not isinstance(v, str) or not _DECIMAL.fullmatch(v):
         raise FormatError(f"{where}: expected a decimal string, got {v!r}")
     return int(v)
 
@@ -49,6 +57,7 @@ def _str_list(obj: dict, key: str, where: str) -> list[int]:
     return [_str_int(e, f"{where}.{key}[{i}]") for i, e in enumerate(v)]
 
 
+@unlimited_int_digits()
 def encode_instance(obj: ProblemInput | HiddenInstance) -> dict:
     if isinstance(obj, HiddenInstance):
         public, hidden = obj.public, obj
@@ -69,6 +78,7 @@ def encode_instance(obj: ProblemInput | HiddenInstance) -> dict:
     return doc
 
 
+@unlimited_int_digits()
 def decode_instance(data: object) -> ProblemInput | HiddenInstance:
     """Parse an instance document; every load passes input validation."""
     if not isinstance(data, dict):
@@ -106,6 +116,7 @@ def _encode_bound_result(br: BoundResult) -> dict:
     }
 
 
+@unlimited_int_digits()
 def encode_result(result: CompressOutput) -> dict:
     return {
         "trace_version": TRACE_VERSION,
@@ -148,6 +159,7 @@ def _decode_bound_result(obj: object, level: int, where: str) -> BoundResult:
     return BoundResult(value=value, achieving=Constraint(level, coeffs))
 
 
+@unlimited_int_digits()
 def decode_result(data: object) -> CompressOutput:
     if not isinstance(data, dict):
         raise FormatError("result document must be a JSON object")
@@ -200,6 +212,7 @@ def decode_result(data: object) -> CompressOutput:
     return CompressOutput(x=x, trace=tuple(steps), bound=bound, perm=perm)
 
 
+@unlimited_int_digits()
 def decode_x_file(data: object, where: str = "x-file") -> tuple[int, ...]:
     """Pull the solution vector out of a result file or bare {"x": [...]}."""
     if not isinstance(data, dict) or "x" not in data:

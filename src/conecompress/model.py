@@ -213,6 +213,8 @@ def check_budget(items: int | None, budget: int, what: str) -> None:
 def unlimited_int_digits() -> Iterator[None]:
     """Lift Python's limit on decimal int<->str conversion for a block.
 
+    Also usable as a decorator, which lifts the limit for each call.
+
     Entries, bounds and scan sizes can exceed the default 4300 digits.
     Python 3.10.0-3.10.6 has no limit and no setter.
     """

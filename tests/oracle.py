@@ -45,3 +45,43 @@ def naive_membership(x, y, cap):
         if dot(coeffs, y) <= 0 and dot(coeffs, x) > 0:
             return coeffs
     return None
+
+
+def scan_tightest(level, y_sorted, tail_x, cap, upper):
+    """Scan every tail coefficient vector and resolve the head in closed form.
+
+    For a fixed tail, s = -tail.x and t = -tail.y; a head c is admissible
+    iff c * y_head <= t and then induces the bound s / c. The best head
+    is an end of the admissible range, chosen by the sign of s; equal
+    values go to the head nearest zero, equal (value, head) pairs to the
+    earlier tail. Same result as naive_tightest at the cost of one pass
+    over the tails.
+    """
+    y_head = y_sorted[level - 1]
+    y_tail = y_sorted[level:]
+    best = None
+    for tau in product(range(-cap, cap + 1), repeat=len(tail_x)):
+        s = -dot(tau, tail_x)
+        t = -dot(tau, y_tail)
+        if y_head == 0:
+            if t < 0:
+                continue
+            near = 1 if upper else -1
+        else:
+            near = min(cap, t // y_head) if upper else min(-1, t // y_head)
+            if (near < 1) if upper else (near < -cap):
+                continue
+        if upper:
+            c = near if s > 0 else 1
+        else:
+            c = -cap if s > 0 else near
+        if best is not None:
+            # heads share a sign, so cross multiplication keeps the order
+            lhs, rhs = s * best[1], best[0] * c
+            if lhs == rhs and abs(c) >= abs(best[1]):
+                continue
+            if lhs != rhs and (lhs > rhs if upper else lhs < rhs):
+                continue
+        best = (s, c, tau)
+    s, c, tau = best
+    return Fraction(s, c), (c,) + tau

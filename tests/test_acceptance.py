@@ -11,12 +11,15 @@ from random import Random
 
 from conecompress import (
     ProblemInput,
+    bound_check,
     bound_value,
     coefficient_cap,
     compress,
+    cone_membership,
     end_to_end,
     generate,
     level_membership,
+    matrix_check,
     tightest_lower,
     tightest_upper,
     validate,
@@ -253,7 +256,7 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
     io.write_json(big, {"n": 6, "d": 2, "y": [str(v) for v in range(1, 7)]})
     code, err = run("compress", str(big), str(result_path), "--budget", "1000")
     assert code == 4
-    assert json.loads(err)["error"]["required"] == "2147483648"
+    assert json.loads(err)["error"]["required"] == "65537"
 
     assert run("verify", str(inst), str(bad_x), "--mode", "matrix")[0] == 5
 
@@ -270,3 +273,23 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
         assert run("generate", "--n", "2", "--d", "1", "--m", "1", "--seed", "0")[0] == 6
     finally:
         cli_module.generate = original
+
+
+@criterion(9, "new frontier: (7,1) and (6,2) certified; (8,1) and (7,2) exit 4")
+def test_criterion_9_new_frontier(tmp_path, capsys):
+    # level_membership would need 65537**3 vectors at (7,1) level 5, so the
+    # outputs are certified by the full cone, the hidden matrix and the bound
+    for n, d, vectors in ((7, 1, 2187), (6, 2, 15625)):
+        inst = generate(n, d, 2 * n, 0)
+        x = compress(inst.public).x
+        assert (2 * d + 1) ** n == vectors
+        assert cone_membership(x, inst.public.y, d).ok
+        assert matrix_check(inst.hidden_matrix, x, d).ok
+        assert bound_check(x, n, d).ok
+    for n, d in ((8, 1), (7, 2)):
+        path = tmp_path / f"n{n}d{d}.json"
+        io.write_json(path, {"n": n, "d": d, "y": [str(v) for v in range(1, n + 1)]})
+        code = main(["compress", str(path), str(tmp_path / "r.json")])
+        error = json.loads(capsys.readouterr().err)["error"]
+        # level n-2 has 2*cap+1 = 2**32+1 prefixes
+        assert (code, error["required"]) == (4, "4294967297")

@@ -60,7 +60,7 @@ class TestCompressCommand:
         assert code == 4
         error = json.loads(err)["error"]
         assert error["code"] == "budget"
-        assert error["required"] == "2147483648"
+        assert error["required"] == "65537"  # level 4: 2*32768+1 prefixes
 
 
 class TestVerifyCommand:
@@ -214,6 +214,11 @@ class TestExitCodesForBadInput:
         code, _, _ = run_cli(capsys, "compress", path, tmp_path / "r.json")
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["7\n", "7 ", " 7", "+7", "07", "-0x7", ""])
+    def test_decimal_strings_match_in_full(self, text):
+        with pytest.raises(FormatError):
+            io.decode_instance({"n": 1, "d": 1, "y": [text]})
+
     def test_validation_error(self, tmp_path, capsys):
         path = tmp_path / "zero.json"
         io.write_json(path, {"n": 2, "d": 1, "y": ["0", "0"]})
@@ -277,6 +282,16 @@ class TestFileRoundTrips:
 class TestNumbersPastTheDecimalDigitLimit:
     """Python refuses int<->str conversions past 4300 digits by default."""
 
+    def test_library_decoders_and_encoders_take_huge_entries(self):
+        big = "9" * 5000
+        doc = {"n": 1, "d": 1, "y": [big]}
+        problem = io.decode_instance(doc)
+        assert problem.y == (10**5000 - 1,)
+        assert io.encode_instance(problem) == doc
+        result = compress(ProblemInput(2, 1, (10**5000, 3 * 10**5000)))
+        assert io.decode_result(io.encode_result(result)) == result
+        assert io.decode_x_file({"x": [big]}) == (10**5000 - 1,)
+
     def run_module(self, *argv):
         return subprocess.run(
             [sys.executable, "-m", "conecompress", *map(str, argv)],
@@ -305,7 +320,9 @@ class TestNumbersPastTheDecimalDigitLimit:
         assert proc.returncode == 4
         error = json.loads(proc.stderr)["error"]
         assert error["code"] == "budget"
-        assert len(error["required"]) == 4695  # level 13 cap, 14**4096 // 2
+        # level 13 needs one walk; level 12 needs 2*cap+1 = 14**2048+1 prefixes
+        assert error["required"] == str(14**2048 + 1)
+        assert len(error["required"]) == 2348
 
 
 def test_internal_error_exit(worked_instance, tmp_path, capsys, monkeypatch):

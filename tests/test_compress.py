@@ -1,12 +1,13 @@
 import importlib
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conecompress import (
     ProblemInput,
-    best_head_coefficient,
     coefficient_cap,
     compress,
     level_membership,
@@ -19,7 +20,7 @@ from conecompress.compress import PartialSolution
 from conecompress.errors import BudgetExceededError
 from conecompress.model import SortedWitness
 
-from oracle import naive_tightest
+from oracle import naive_tightest, scan_tightest
 
 W4 = validate(ProblemInput(4, 1, (2, 3, 7, 29)))
 
@@ -39,45 +40,6 @@ def random_config(rng):
     if tail[-1] == 0:
         tail[-1] = 1
     return d, witness(*y), level, PartialSolution(level + 1, tuple(tail))
-
-
-class TestBestHeadCoefficient:
-    def test_spec_examples(self):
-        assert best_head_coefficient(1, 29, 7, 8, upper=True) == 4
-        assert best_head_coefficient(1, -1, 2, 1, upper=True) is None
-        assert best_head_coefficient(-2, 10, 1, 8, upper=True) == 1
-
-    def test_lower_mirror(self):
-        # s > 0: push the head to the most negative admissible value
-        assert best_head_coefficient(3, 50, 1, 8, upper=False) == -8
-        # s < 0: stay as close to zero as admissibility allows
-        assert best_head_coefficient(-3, -4, 2, 8, upper=False) == -2
-        # no admissible head at all
-        assert best_head_coefficient(1, -20, 2, 8, upper=False) is None
-
-    def test_zero_witness_head(self):
-        assert best_head_coefficient(5, 0, 0, 8, upper=True) == 8
-        assert best_head_coefficient(5, -1, 0, 8, upper=True) is None
-        assert best_head_coefficient(0, 0, 0, 8, upper=True) == 1
-
-    def test_exhaustive_against_scan(self):
-        rng = Random(7)
-        for _ in range(300):
-            s = rng.randint(-20, 20)
-            t = rng.randint(-30, 30)
-            y_head = rng.randint(0, 6)
-            cap = rng.randint(1, 9)
-            for upper in (True, False):
-                got = best_head_coefficient(s, t, y_head, cap, upper=upper)
-                heads = range(1, cap + 1) if upper else range(-1, -cap - 1, -1)
-                feasible = [c for c in heads if c * y_head <= t]
-                if not feasible:
-                    assert got is None
-                    continue
-                values = [Fraction(s, c) for c in feasible]
-                best = min(values) if upper else max(values)
-                assert got in feasible
-                assert Fraction(s, got) == best
 
 
 class TestTightestBounds:
@@ -125,13 +87,15 @@ class TestTightestBounds:
                 assert 1 <= r.value.denominator <= cap
 
     def test_budget_error_carries_required_count(self):
+        # the widest level has one (empty) prefix, so it needs one walk
+        tightest_upper(3, W4, PartialSolution(4, (1,)), 8, budget=1)
         with pytest.raises(BudgetExceededError) as info:
-            tightest_upper(3, W4, PartialSolution(4, (1,)), 8, budget=7)
-        assert info.value.required == 8  # head scan at the widest level
-        w = witness(1, 2, 3)
+            tightest_upper(2, W4, PartialSolution(3, (1, 4)), 8, budget=16)
+        assert info.value.required == 17  # 2*8+1 prefixes
+        w = witness(1, 2, 3, 4)
         with pytest.raises(BudgetExceededError) as info:
-            tightest_upper(1, w, PartialSolution(2, (1, 2)), 1, budget=8)
-        assert info.value.required == 9  # (2*1+1)**2 tail vectors
+            tightest_upper(1, w, PartialSolution(2, (1, 2, 3)), 1, budget=8)
+        assert info.value.required == 9  # (2*1+1)**2 prefixes
 
     def test_rejects_misaligned_tail(self):
         with pytest.raises(ValueError):
@@ -152,6 +116,71 @@ class TestOracleEquivalence:
                 )
                 assert got.value == want_value
                 assert got.achieving.coeffs == want_coeffs
+
+
+def sorted_tuples(length, top):
+    """Non-decreasing tuples over [0, top] whose last entry is positive."""
+    for v in product(range(top + 1), repeat=length):
+        if v[-1] > 0 and all(a <= b for a, b in zip(v, v[1:])):
+            yield v
+
+
+@st.composite
+def level_cases(draw):
+    """A level problem with witness entries up to 10**300.
+
+    Entries come from a pool of at most three values plus zero, so zero
+    heads and equal entries are common; equal tail entries and zero heads
+    are what let a prefix reach the clamps at +-cap.
+    """
+    width = draw(st.integers(1, 3))
+    cap = draw(st.integers(1, (32768, 128, 8)[width - 1]))
+    entry = st.one_of(st.integers(0, 12), st.integers(0, 10**300))
+    pool = draw(st.lists(entry, min_size=1, max_size=3)) + [0]
+    y = sorted(draw(st.lists(st.sampled_from(pool), min_size=width + 1, max_size=width + 1)))
+    x = sorted(draw(st.lists(entry, min_size=width, max_size=width)))
+    y[-1] = y[-1] or 1
+    x[-1] = x[-1] or 1
+    return tuple(y), tuple(x), cap
+
+
+class TestKernel:
+    def test_exhaustive_against_naive_scan(self):
+        checked = 0
+        for n in (2, 3):
+            for y in sorted_tuples(n, 4):
+                w = witness(*y)
+                for level in range(1, n):
+                    for x in sorted_tuples(n - level, 3):
+                        tail = PartialSolution(level + 1, x)
+                        for cap in (1, 2, 3):
+                            for upper in (True, False):
+                                fn = tightest_upper if upper else tightest_lower
+                                got = fn(level, w, tail, cap)
+                                want = naive_tightest(level, y, x, cap, upper)
+                                assert (got.value, got.achieving.coeffs) == want
+                                checked += 1
+        assert checked == 2700
+
+    @settings(max_examples=60, deadline=None)
+    @given(level_cases(), st.booleans())
+    def test_equals_closed_form_head_scan(self, case, upper):
+        y, x, cap = case
+        fn = tightest_upper if upper else tightest_lower
+        got = fn(1, witness(*y), PartialSolution(2, x), cap)
+        assert (got.value, got.achieving.coeffs) == scan_tightest(1, y, x, cap, upper)
+
+    def test_widest_level_gives_the_farey_neighbours(self):
+        # far past any scan: cap 2**4096 and 2001-digit witness entries
+        cap = 2**4096
+        a, y_last = 10**2000 + 7, 3 * 10**2000 + 1
+        w, tail = witness(a, y_last), PartialSolution(2, (1,))
+        up = tightest_upper(1, w, tail, cap, budget=1).value
+        lo = tightest_lower(1, w, tail, cap, budget=1).value
+        assert lo < Fraction(a, y_last) < up
+        assert up.numerator * lo.denominator - lo.numerator * up.denominator == 1
+        assert max(up.denominator, lo.denominator) <= cap
+        assert up.denominator + lo.denominator > cap
 
 
 class TestStep:
@@ -268,9 +297,10 @@ class TestCompress:
                 assert level_membership(rec.partial_after, w, d).ok
 
     def test_budget_error_propagates(self):
+        # level 4: cap 32768, one tail prefix coordinate
         with pytest.raises(BudgetExceededError) as info:
             compress(ProblemInput(6, 2, (1, 2, 3, 4, 5, 6)), budget=1000)
-        assert info.value.required == 2147483648
+        assert info.value.required == 65537
 
     def test_astronomical_budget_requirement_reported_as_unknown(self):
         with pytest.raises(BudgetExceededError) as info:
@@ -278,15 +308,15 @@ class TestCompress:
         assert info.value.required is None
 
     def test_over_budget_level_rejected_before_any_level_runs(self, monkeypatch):
-        # level 4 (839808 heads) fits, level 3 (1297**2 tail vectors) does not
+        # level 5 (one prefix) fits, level 4 (2*839808+1 prefixes) does not
         def no_step(*args, **kwargs):
             raise AssertionError("a level ran before the budget check")
 
         module = importlib.import_module("conecompress.compress")
         monkeypatch.setattr(module, "step", no_step)
         with pytest.raises(BudgetExceededError) as info:
-            compress(ProblemInput(5, 3, (3, 5, 7, 11, 13)), budget=10**6)
-        assert info.value.required == 1682209 == 1297**2
+            compress(ProblemInput(6, 3, (3, 5, 7, 11, 13, 17)), budget=10**6)
+        assert info.value.required == 1679617 == 2 * coefficient_cap(3, 4) + 1
 
     def test_step_rejects_huge_level_without_materializing(self):
         w = validate(ProblemInput(101, 1, tuple(range(1, 102))))
