@@ -32,7 +32,6 @@ from .errors import (
 from .generate import EndToEndReport, HiddenInstance, end_to_end, generate
 from .model import (
     Constraint,
-    LevelCone,
     PartialSolution,
     ProblemInput,
     SortedWitness,
@@ -65,7 +64,6 @@ __all__ = [
     "HiddenInstance",
     "HiddenInstanceError",
     "InternalInconsistencyError",
-    "LevelCone",
     "MissingHiddenSectionError",
     "PartialSolution",
     "ProblemInput",

@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .generate import DEFAULT_MAX_ENTRY, DEFAULT_SCALE, HiddenInstance, generate
-from .model import Constraint, ProblemInput, unlimited_int_digits
+from .model import Constraint, ProblemInput, bound_value, unlimited_int_digits
 from .verify import DEFAULT_VERIFY_BUDGET, Verdict, bound_check, cone_membership, matrix_check
 
 EXIT_OK = 0
@@ -141,8 +141,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    from .model import bound_value
-
     value = bound_value(args.n, args.d)
     if value.denominator == 1:
         print(value.numerator)

@@ -33,7 +33,6 @@ from operator import mul
 from .errors import InternalInconsistencyError
 from .model import (
     Constraint,
-    LevelCone,
     PartialSolution,
     ProblemInput,
     SortedWitness,
@@ -308,11 +307,16 @@ def step(
         level=level,
         x=(chosen.numerator,) + tuple(v * chosen.denominator for v in tail.x),
     )
-    cone = LevelCone(level=level, cap=cap, y=witness.y)
-    if not (cone.admits(upper.achieving.coeffs) and cone.admits(lower.achieving.coeffs)):
-        raise InternalInconsistencyError(
-            f"level {level}: reported constraint is not admissible"
-        )
+    y_tail = witness.y[level - 1 :]
+    for coeffs in (upper.achieving.coeffs, lower.achieving.coeffs):
+        if not (
+            len(coeffs) == len(y_tail)
+            and all(abs(c) <= cap for c in coeffs)
+            and sum(map(mul, coeffs, y_tail)) <= 0
+        ):
+            raise InternalInconsistencyError(
+                f"level {level}: reported constraint {coeffs} is not admissible"
+            )
     return StepRecord(
         level=level,
         cap=cap,

@@ -33,10 +33,6 @@ TRACE_VERSION = 1
 _DECIMAL = re.compile(r"-?(0|[1-9][0-9]*)")
 
 
-def _to_str(v: int) -> str:
-    return str(v)
-
-
 def _int_field(obj: dict, key: str, where: str) -> int:
     v = obj.get(key)
     if not isinstance(v, int) or isinstance(v, bool):
@@ -66,14 +62,14 @@ def encode_instance(obj: ProblemInput | HiddenInstance) -> dict:
     doc: dict = {
         "n": public.n,
         "d": public.d,
-        "y": [_to_str(v) for v in public.y],
+        "y": [str(v) for v in public.y],
     }
     if hidden is not None:
         doc["hidden"] = {
-            "matrix": [[_to_str(v) for v in row] for row in hidden.hidden_matrix],
-            "planted": [_to_str(v) for v in hidden.planted],
+            "matrix": [[str(v) for v in row] for row in hidden.hidden_matrix],
+            "planted": [str(v) for v in hidden.planted],
             "seed": hidden.seed,
-            "scale": _to_str(hidden.scale),
+            "scale": str(hidden.scale),
         }
     return doc
 
@@ -110,9 +106,9 @@ def decode_instance(data: object) -> ProblemInput | HiddenInstance:
 
 def _encode_bound_result(br: BoundResult) -> dict:
     return {
-        "num": _to_str(br.value.numerator),
-        "den": _to_str(br.value.denominator),
-        "constraint": [_to_str(c) for c in br.achieving.coeffs],
+        "num": str(br.value.numerator),
+        "den": str(br.value.denominator),
+        "constraint": [str(c) for c in br.achieving.coeffs],
     }
 
 
@@ -120,21 +116,21 @@ def _encode_bound_result(br: BoundResult) -> dict:
 def encode_result(result: CompressOutput) -> dict:
     return {
         "trace_version": TRACE_VERSION,
-        "x": [_to_str(v) for v in result.x],
+        "x": [str(v) for v in result.x],
         "perm": list(result.perm),
         "bound": {
-            "num": _to_str(result.bound.numerator),
-            "den": _to_str(result.bound.denominator),
+            "num": str(result.bound.numerator),
+            "den": str(result.bound.denominator),
         },
-        "max_x": _to_str(max(result.x)),
+        "max_x": str(max(result.x)),
         "steps": [
             {
                 "level": rec.level,
-                "cap": _to_str(rec.cap),
+                "cap": str(rec.cap),
                 "upper": _encode_bound_result(rec.upper),
                 "lower": _encode_bound_result(rec.lower),
-                "scale": _to_str(rec.scale),
-                "partial": [_to_str(v) for v in rec.partial_after.x],
+                "scale": str(rec.scale),
+                "partial": [str(v) for v in rec.partial_after.x],
             }
             for rec in result.trace
         ],

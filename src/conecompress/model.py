@@ -15,7 +15,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -93,52 +92,6 @@ class Constraint:
 
     level: int
     coeffs: tuple[int, ...]
-
-    def dot(self, values: Sequence[int]) -> int:
-        if len(values) != len(self.coeffs):
-            raise ValueError("constraint and value vector lengths differ")
-        return sum(c * v for c, v in zip(self.coeffs, values))
-
-
-@dataclass(frozen=True)
-class LevelCone:
-    """Descriptor of the implicit cone over coordinates level..n.
-
-    The cone is cut out by every integer coefficient vector bounded by
-    ``cap`` in magnitude that the witness values satisfy. The full
-    inequality list has up to (2*cap+1)**width members, so it is only ever
-    traversed, never stored.
-    """
-
-    level: int
-    cap: int
-    y: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.level <= len(self.y):
-            raise ValueError(f"level {self.level} out of range for n={len(self.y)}")
-
-    @property
-    def width(self) -> int:
-        return len(self.y) + 1 - self.level
-
-    def tail_y(self) -> tuple[int, ...]:
-        return self.y[self.level - 1 :]
-
-    def admits(self, coeffs: Sequence[int]) -> bool:
-        """True iff coeffs is a constraint of this cone."""
-        if len(coeffs) != self.width:
-            return False
-        if any(abs(c) > self.cap for c in coeffs):
-            return False
-        return sum(c * yv for c, yv in zip(coeffs, self.tail_y())) <= 0
-
-    def constraints(self) -> Iterator[Constraint]:
-        """All constraints in lexicographic coefficient order."""
-        y = self.tail_y()
-        for coeffs in product(range(-self.cap, self.cap + 1), repeat=self.width):
-            if sum(c * yv for c, yv in zip(coeffs, y)) <= 0:
-                yield Constraint(self.level, coeffs)
 
 
 def validate(problem: ProblemInput) -> SortedWitness:

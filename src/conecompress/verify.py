@@ -10,12 +10,13 @@ instead of sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatchError, EntryOutOfRangeError
 from .model import (
     Constraint,
-    LevelCone,
     PartialSolution,
     SortedWitness,
     bound_value,
@@ -39,20 +40,21 @@ class Verdict:
     certificate: Constraint | None = None
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+def _scan(level: int, cap: int, y: Sequence[int], x: Sequence[int]) -> Verdict:
+    """Scan [-cap, cap]**len(y) in lexicographic order for a certificate.
 
-
-def _scan(cone: LevelCone, x: Sequence[int]) -> Verdict:
-    for constraint in cone.constraints():
-        if constraint.dot(x) > 0:
-            return Verdict(ok=False, certificate=constraint)
+    The first coefficient vector that y satisfies and x violates becomes
+    the certificate; only that one is built as a Constraint.
+    """
+    for coeffs in product(range(-cap, cap + 1), repeat=len(y)):
+        if sum(map(mul, coeffs, y)) <= 0 and sum(map(mul, coeffs, x)) > 0:
+            return Verdict(ok=False, certificate=Constraint(level, coeffs))
     return Verdict(ok=True)
 
 
 def cone_membership(
     x: Sequence[int],
-    witness: SortedWitness | Sequence[int],
+    witness: Sequence[int],
     d: int,
     budget: int = DEFAULT_VERIFY_BUDGET,
 ) -> Verdict:
@@ -64,13 +66,12 @@ def cone_membership(
     all among the scanned vectors. x and the witness must share one
     coordinate order.
     """
-    y = witness.y if isinstance(witness, SortedWitness) else tuple(witness)
-    if len(x) != len(y):
+    if len(x) != len(witness):
         raise DimensionMismatchError(
-            f"vector has {len(x)} entries, witness has {len(y)}"
+            f"vector has {len(x)} entries, witness has {len(witness)}"
         )
-    check_budget(scan_size(d, 1, len(y)), budget, "membership scan")
-    return _scan(LevelCone(level=1, cap=d, y=y), tuple(x))
+    check_budget(scan_size(d, 1, len(witness)), budget, "membership scan")
+    return _scan(1, d, witness, x)
 
 
 def level_membership(
@@ -90,7 +91,7 @@ def level_membership(
     width = n + 1 - p.level
     check_budget(scan_size(d, p.level, width), budget, "level membership scan")
     cap = coefficient_cap(d, p.level)
-    return _scan(LevelCone(level=p.level, cap=cap, y=witness.y), p.x)
+    return _scan(p.level, cap, witness.y[p.level - 1 :], p.x)
 
 
 def matrix_check(
@@ -109,13 +110,29 @@ def matrix_check(
                     f"row {i} entry {v} outside [-{d}, {d}]"
                 )
     for row in matrix:
-        if _dot(row, x) > 0:
+        if sum(map(mul, row, x)) > 0:
             return Verdict(ok=False, certificate=Constraint(1, tuple(row)))
     return Verdict(ok=True)
 
 
 def bound_check(x: Sequence[int], n: int, d: int) -> Verdict:
-    """Whether every entry of x is within the guaranteed bound (inclusive)."""
+    """Whether every entry of x is within the guaranteed bound (inclusive).
+
+    The bound is (2d)**e / 2**k with e = 2**(n-1) - 1 and k = n-1, so it
+    has about e*log2(2d) bits: far too many to build at large n. Bit
+    lengths decide first: for m > 0, m * 2**k lies in
+    [2**(bits-1+k), 2**(bits+k)), and with L = (2d).bit_length(), (2d)**e
+    lies in [2**(e*(L-1)), 2**(e*L)) when e >= 1. The bound is built only
+    when the two ranges overlap, and then it is about as long as m.
+    """
     if not x:
         return Verdict(ok=True)
-    return Verdict(ok=max(x) <= bound_value(n, d))
+    m = max(x)
+    if n >= 1 and d >= 1:  # otherwise bound_value raises the input error
+        e, k, L = (1 << (n - 1)) - 1, n - 1, (2 * d).bit_length()
+        bits = max(m, 0).bit_length()
+        if bits + k <= e * (L - 1):
+            return Verdict(ok=True)
+        if e >= 1 and bits - 1 + k >= e * L:
+            return Verdict(ok=False)
+    return Verdict(ok=m <= bound_value(n, d))

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import conecompress
 from conecompress import ProblemInput, compress, generate
 from conecompress import io
 from conecompress.cli import main
@@ -26,6 +29,18 @@ def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """Run ``python -m conecompress`` on the package these tests import."""
+    source = str(Path(conecompress.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "conecompress", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestCompressCommand:
@@ -292,15 +307,8 @@ class TestNumbersPastTheDecimalDigitLimit:
         assert io.decode_result(io.encode_result(result)) == result
         assert io.decode_x_file({"x": [big]}) == (10**5000 - 1,)
 
-    def run_module(self, *argv):
-        return subprocess.run(
-            [sys.executable, "-m", "conecompress", *map(str, argv)],
-            capture_output=True,
-            text=True,
-        )
-
     def test_bound_prints_every_digit(self):
-        proc = self.run_module("bound", "--n", 15, "--d", 1)
+        proc = run_module("bound", "--n", 15, "--d", 1)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert len(proc.stdout.strip()) == 4928  # 2**16369
 
@@ -309,14 +317,14 @@ class TestNumbersPastTheDecimalDigitLimit:
         inst = tmp_path / "big.json"
         io.write_json(inst, {"n": 3, "d": 1, "y": ["2", "3", big]})
         out = tmp_path / "r.json"
-        proc = self.run_module("compress", inst, out)
+        proc = run_module("compress", inst, out)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["x"] == ["1", "1", "2"]
 
     def test_budget_error_reports_a_huge_required_count(self, tmp_path):
         inst = tmp_path / "wide.json"
         io.write_json(inst, {"n": 14, "d": 7, "y": [str(v) for v in range(1, 15)]})
-        proc = self.run_module("compress", inst, tmp_path / "r.json")
+        proc = run_module("compress", inst, tmp_path / "r.json")
         assert proc.returncode == 4
         error = json.loads(proc.stderr)["error"]
         assert error["code"] == "budget"
@@ -336,10 +344,6 @@ def test_internal_error_exit(worked_instance, tmp_path, capsys, monkeypatch):
 
 
 def test_console_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "conecompress", "bound", "--n", "4", "--d", "1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("bound", "--n", 4, "--d", 1)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "16"

@@ -16,9 +16,9 @@ from conecompress import (
     tightest_upper,
     validate,
 )
-from conecompress.compress import PartialSolution
-from conecompress.errors import BudgetExceededError
-from conecompress.model import SortedWitness
+from conecompress.compress import BoundResult, PartialSolution
+from conecompress.errors import BudgetExceededError, InternalInconsistencyError
+from conecompress.model import Constraint, SortedWitness
 
 from oracle import naive_tightest, scan_tightest
 
@@ -201,6 +201,24 @@ class TestStep:
         assert rec.chosen == 1
         assert rec.scale == 1
         assert rec.partial_after.x == (1, 1, 2, 8)
+
+    @pytest.mark.parametrize("name", ["tightest_upper", "tightest_lower"])
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(4, -1, 0), (9, -9), (1, 0)],
+        ids=["wrong-width", "over-cap", "witness-violates"],
+    )
+    def test_inadmissible_achieving_constraint_is_internal_error(
+        self, monkeypatch, name, coeffs
+    ):
+        # Level 3 of the worked example has cap 8 and witness tail (7, 29).
+        module = importlib.import_module("conecompress.compress")
+        tail = PartialSolution(4, (1,))
+        real = getattr(module, name)(3, W4, tail, 8)
+        bad = BoundResult(value=real.value, achieving=Constraint(3, coeffs))
+        monkeypatch.setattr(module, name, lambda *args: bad)
+        with pytest.raises(InternalInconsistencyError, match="not admissible"):
+            step(3, 1, W4, tail)
 
     def test_consistency_on_random_instances(self):
         rng = Random(404)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conecompress import (
-    LevelCone,
     ProblemInput,
     bound_value,
     coefficient_cap,
@@ -180,23 +179,6 @@ class TestUnsort:
             unsort((1, 2), (0, 0))
         with pytest.raises(MalformedPermutationError):
             unsort((1, 2), (0,))
-
-
-class TestLevelCone:
-    def test_admits(self):
-        cone = LevelCone(level=3, cap=8, y=(2, 3, 7, 29))
-        assert cone.admits((4, -1))
-        assert cone.admits((-5, 1))
-        assert not cone.admits((1, 0))  # witness violates it
-        assert not cone.admits((9, -9))  # over the cap
-        assert not cone.admits((1, -1, 0))  # wrong width
-
-    def test_constraints_are_admissible_and_lex_sorted(self):
-        cone = LevelCone(level=1, cap=1, y=(2, 5))
-        got = [c.coeffs for c in cone.constraints()]
-        assert got == sorted(got)
-        assert all(cone.admits(c) for c in got)
-        assert (1, -1) in got and (1, 1) not in got
 
 
 def test_membership_invariant_under_permutation():

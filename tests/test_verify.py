@@ -6,6 +6,8 @@ import pytest
 from conecompress import (
     ProblemInput,
     bound_check,
+    bound_value,
+    coefficient_cap,
     cone_membership,
     generate,
     level_membership,
@@ -60,10 +62,6 @@ class TestConeMembership:
             else:
                 assert verdict.certificate.coeffs == want
 
-    def test_accepts_sorted_witness_wrapper(self):
-        w = validate(ProblemInput(4, 1, Y4))
-        assert cone_membership((1, 1, 2, 8), w, 1).ok
-
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             cone_membership((1, 2), Y4, 1)
@@ -100,6 +98,34 @@ class TestLevelMembership:
                 x = x[:-1] + (1,)
             p = PartialSolution(1, x)
             assert level_membership(p, w, 1).ok == cone_membership(x, w.y, 1).ok
+
+    def test_certificate_is_lexicographic_first_at_upper_levels(self):
+        # d=1 gives cap 2 at level 2 and cap 8 at level 3.
+        rng = Random(31)
+        seen = {2: set(), 8: set()}
+        for _ in range(60):
+            n = rng.randint(3, 4)
+            level = rng.randint(2, n - 1)
+            y = tuple(sorted(rng.randint(0, 30) for _ in range(n)))
+            if y[-1] == 0:
+                y = y[:-1] + (5,)
+            w = validate(ProblemInput(n, 1, y))
+            x = tuple(sorted(rng.randint(0, 12) for _ in range(n - level + 1)))
+            if x[-1] == 0:
+                x = x[:-1] + (1,)
+            if rng.random() < 0.3:  # the witness tail is always a member
+                x = w.y[level - 1 :]
+            p = PartialSolution(level, x)
+            cap = coefficient_cap(1, level)
+            verdict = level_membership(p, w, 1)
+            want = naive_membership(x, w.y[level - 1 :], cap)
+            seen[cap].add(verdict.ok)
+            if want is None:
+                assert verdict.ok
+            else:
+                assert verdict.certificate.coeffs == want
+                assert verdict.certificate.level == level
+        assert seen == {2: {True, False}, 8: {True, False}}
 
     def test_level_out_of_range(self):
         w = validate(ProblemInput(2, 1, (1, 2)))
@@ -145,6 +171,27 @@ class TestBoundCheck:
         assert bound_check((1, 1, 2, 8), 4, 1).ok
         assert bound_check((16,), 4, 1).ok  # the bound is inclusive
         assert not bound_check((17, 1, 1, 1), 4, 1).ok
+
+    def test_bit_length_shortcut_agrees_with_the_bound(self):
+        for n in range(1, 8):
+            for d in range(1, 9):
+                b = int(bound_value(n, d))  # an integer for every n, d
+                near = range(b - 3, b + 4)
+                far = (0, 1, b // 2, b * 2, b * 2**40, b // 2**40 or 1)
+                for m in (*near, *far):
+                    assert bound_check((m,), n, d).ok == (m <= b), (n, d, m)
+
+    def test_large_cases_never_build_the_bound(self, monkeypatch):
+        def unbuildable(n, d):
+            raise AssertionError("bound_value called")
+
+        monkeypatch.setattr("conecompress.verify.bound_value", unbuildable)
+        # the bound at (40, 3) has about 2**39 * log2(6) bits
+        assert bound_check((1,) * 40, 40, 3).ok
+        assert bound_check((0, 10**5000), 40, 3).ok
+        # at (4, 1) the bound is 16
+        assert not bound_check((1, 10**5000), 4, 1).ok
+        assert not bound_check((2**64,), 5, 1).ok
 
 
 def test_membership_implies_any_admissible_matrix_passes():
