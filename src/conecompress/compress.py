@@ -13,14 +13,16 @@ partial solution by that reduced denominator restores integrality, and
 the product of the caps bounds the final entries.
 
 A constraint at level j looks like c_j x(j) + sum(c_i x(i), i > j) <= 0.
-Each bound loops over the prefixes (c_{j+1}, ..., c_{n-1}) of the tail,
-every tail coefficient but the last. With the prefix fixed, the best last
-coefficient for a head c is a clamped ceiling of a linear function of c,
-so the best head is the point of a lattice staircase seen at the least
-slope from a fixed point, found by a Euclid-style walk in O(log cap)
-steps however long the witness entries are. A level thus costs
-(2*cap+1)**(n-j-1) walks, one at the widest level; that count is checked
-against a budget for every level before the first one runs.
+Both bounds come from one pass over the prefixes (c_{j+1}, ..., c_{n-1})
+of the tail, every tail coefficient but the last. With the prefix fixed,
+the best last coefficient for a head c is a clamped ceiling of a linear
+function of c, so the best head is the point of a lattice staircase seen
+at the least slope from a fixed point, found by a Euclid-style walk in
+O(log cap) steps however long the witness entries are; the lower bound is
+the same problem with the head entry negated. A level thus runs one pass
+over (2*cap+1)**(n-j-1) prefixes, one at the widest level, with two walks
+per prefix; the prefix count is checked against a budget for every level
+before the first one runs.
 """
 
 from __future__ import annotations
@@ -216,13 +218,15 @@ def _scan_items(d: int, level: int, width: int) -> int | None:
     return scan_size(d, level, width - 1)
 
 
-def _bound(level, witness, tail, cap, budget, *, upper: bool) -> BoundResult:
-    """One lattice walk per prefix (every tail coefficient but the last).
+def _bounds(level, witness, tail, cap, budget) -> tuple[BoundResult, BoundResult]:
+    """(upper, lower): one lattice walk per direction per prefix, one prefix loop.
 
-    The lower bound with head -e is the upper bound's problem with the
-    head entry negated, so both directions share _best_head. Prefixes run
-    in lexicographic order and a later one wins only on a strictly better
-    (value, |head|), which reproduces the tie-break on the tail.
+    A prefix is every tail coefficient but the last. The lower bound with
+    head -e is the upper bound's problem with the head entry negated, so
+    both directions share _best_head and the prefix's partial dot products.
+    Prefixes run in lexicographic order and, in each direction, a later one
+    wins only on a strictly better (value, |head|), which reproduces the
+    tie-break on the tail.
     """
     if tail.level != level + 1:
         raise ValueError(f"tail is at level {tail.level}, expected {level + 1}")
@@ -231,23 +235,28 @@ def _bound(level, witness, tail, cap, budget, *, upper: bool) -> BoundResult:
     if not 1 <= level <= witness.n - 1:
         raise ValueError(f"level {level} out of range for n={witness.n}")
     check_budget(_scan_items(cap, 1, tail.n - level), budget, f"bound at level {level}")
-    a = witness.y[level - 1] if upper else -witness.y[level - 1]
+    a = witness.y[level - 1]
     y_mid, y_last = witness.y[level:-1], witness.y[-1]
     x_mid, x_last = tail.x[:-1], tail.x[-1]
-    best = None
+    upper = lower = None
     for prefix in product(range(-cap, cap + 1), repeat=len(x_mid)):
         py = sum(map(mul, prefix, y_mid))
         px = sum(map(mul, prefix, x_mid))
         candidate = _best_head(a, py, px, y_last, x_last, cap)
-        if candidate is not None and _precedes(candidate, best):
-            best = candidate + (prefix,)
-    if best is None:
+        if candidate is not None and _precedes(candidate, upper):
+            upper = candidate + (prefix,)
+        candidate = _best_head(-a, py, px, y_last, x_last, cap)
+        if candidate is not None and _precedes(candidate, lower):
+            lower = candidate + (prefix,)
+    if upper is None or lower is None:
         # Unreachable for a sorted witness: (head, -1, 0, ...) is always
         # admissible for the upper case and (-1, 0, ...) for the lower.
         raise InternalInconsistencyError(f"no admissible constraint at level {level}")
-    num, c, g, prefix = best
-    head, value = (c, Fraction(num, c)) if upper else (-c, Fraction(-num, c))
-    return BoundResult(value=value, achieving=Constraint(level, (head, *prefix, -g)))
+    (num, c, g, prefix), (lo_num, lo_c, lo_g, lo_prefix) = upper, lower
+    return (
+        BoundResult(Fraction(num, c), Constraint(level, (c, *prefix, -g))),
+        BoundResult(Fraction(-lo_num, lo_c), Constraint(level, (-lo_c, *lo_prefix, -lo_g))),
+    )
 
 
 def tightest_upper(
@@ -264,7 +273,7 @@ def tightest_upper(
     broken by the smallest head, then the lexicographically smallest tail
     coefficients; tie-breaks affect only the reported constraint.
     """
-    return _bound(level, witness, tail, cap, budget, upper=True)
+    return _bounds(level, witness, tail, cap, budget)[0]
 
 
 def tightest_lower(
@@ -275,7 +284,7 @@ def tightest_lower(
     budget: int = DEFAULT_COMPRESS_BUDGET,
 ) -> BoundResult:
     """Maximum lower bound on x(level); never negative (all-zero tail)."""
-    return _bound(level, witness, tail, cap, budget, upper=False)
+    return _bounds(level, witness, tail, cap, budget)[1]
 
 
 def step(
@@ -295,8 +304,7 @@ def step(
     width = tail.n - level
     check_budget(_scan_items(d, level, width), budget, f"level {level}")
     cap = coefficient_cap(d, level)
-    upper = tightest_upper(level, witness, tail, cap, budget)
-    lower = tightest_lower(level, witness, tail, cap, budget)
+    upper, lower = _bounds(level, witness, tail, cap, budget)
     if lower.value > upper.value:
         raise InternalInconsistencyError(
             f"level {level}: tightest lower bound {lower.value} exceeds "
@@ -305,7 +313,8 @@ def step(
     chosen = upper.value
     partial = PartialSolution(
         level=level,
-        x=(chosen.numerator,) + tuple(v * chosen.denominator for v in tail.x),
+        # from a list, not a generator: see model.validate
+        x=(chosen.numerator, *[v * chosen.denominator for v in tail.x]),
     )
     y_tail = witness.y[level - 1 :]
     for coeffs in (upper.achieving.coeffs, lower.achieving.coeffs):

@@ -4,8 +4,10 @@ Witness and solution entries overflow 64-bit integers even at small
 dimensions, so every arbitrary-precision value is serialized as a decimal
 string; only structural fields (n, d, seed, levels, trace_version) are
 native JSON integers. Emission is canonical, so identical objects produce
-identical bytes. The public encoders and decoders accept numbers of any
-length: each lifts Python's int<->str digit limit for its document.
+identical bytes. The public encoders, decoders, ``dumps`` and
+``read_json`` accept numbers of any length, native JSON integers such as
+a huge ``d`` included: each lifts Python's int<->str digit limit for its
+document.
 """
 
 from __future__ import annotations
@@ -104,10 +106,15 @@ def decode_instance(data: object) -> ProblemInput | HiddenInstance:
     )
 
 
+@unlimited_int_digits()
+def encode_fraction(value: Fraction) -> dict:
+    """{"num", "den"} decimal strings: the one writer of a fraction."""
+    return {"num": str(value.numerator), "den": str(value.denominator)}
+
+
 def _encode_bound_result(br: BoundResult) -> dict:
     return {
-        "num": str(br.value.numerator),
-        "den": str(br.value.denominator),
+        **encode_fraction(br.value),
         "constraint": [str(c) for c in br.achieving.coeffs],
     }
 
@@ -118,10 +125,7 @@ def encode_result(result: CompressOutput) -> dict:
         "trace_version": TRACE_VERSION,
         "x": [str(v) for v in result.x],
         "perm": list(result.perm),
-        "bound": {
-            "num": str(result.bound.numerator),
-            "den": str(result.bound.denominator),
-        },
+        "bound": encode_fraction(result.bound),
         "max_x": str(max(result.x)),
         "steps": [
             {
@@ -231,20 +235,28 @@ def replay(result: CompressOutput) -> tuple[int, ...]:
     return rebuilt
 
 
+@unlimited_int_digits()
 def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+@unlimited_int_digits()
 def read_json(path: str | Path) -> object:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply") from exc
 
 
 def write_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(dumps(doc), encoding="utf-8")
+    text = dumps(doc)
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc

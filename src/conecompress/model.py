@@ -110,7 +110,9 @@ def validate(problem: ProblemInput) -> SortedWitness:
     if all(v == 0 for v in problem.y):
         raise ZeroWitnessError("witness must be non-zero")
     perm = tuple(sorted(range(problem.n), key=lambda i: problem.y[i]))
-    y_sorted = tuple(problem.y[i] for i in perm)
+    # From a list: a tuple built from a generator is resized, and a loop of
+    # calls then grows in memory through the interpreter's tuple free lists.
+    y_sorted = tuple([problem.y[i] for i in perm])
     return SortedWitness(y=y_sorted, perm=perm)
 
 

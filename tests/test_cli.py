@@ -2,15 +2,22 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conecompress
 from conecompress import ProblemInput, compress, generate
 from conecompress import io
 from conecompress.cli import main
+from conecompress.compress import BoundResult, CompressOutput, StepRecord
+from conecompress.model import Constraint, PartialSolution
 from conecompress.errors import (
     FormatError,
     InternalInconsistencyError,
@@ -189,6 +196,16 @@ class TestBoundCommand:
         assert code == 0
         assert out.strip() == expected
 
+    @pytest.mark.parametrize("n", [22, 1000000000])
+    def test_refuses_a_bound_too_long_to_print(self, capsys, n):
+        # n = 22 would print for seconds; 2**(n-1) is never built for 10**9
+        code, out, err = run_cli(capsys, "bound", "--n", n, "--d", 1)
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == "validation"
+        assert f"n={n}, d=1" in error["message"]
+        assert f"(2**{n - 1} - 1) * 2 bits" in error["message"]
+
 
 class TestTraceCommand:
     def test_narrative_contains_worked_example_milestones(self, worked_instance, capsys):
@@ -243,6 +260,26 @@ class TestExitCodesForBadInput:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
+
+    def test_instance_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": 1, "d": 1, "y": ["\xe9"]}')
+        code, _, err = run_cli(capsys, "compress", path, tmp_path / "r.json")
+        assert code == 2
+        assert json.loads(err)["error"]["code"] == "parse"
+
+    def test_json_nested_too_deeply(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, _, err = run_cli(capsys, "compress", path, tmp_path / "r.json")
+        assert code == 2
+        assert "nested too deeply" in json.loads(err)["error"]["message"]
+
+    def test_output_in_a_missing_directory(self, worked_instance, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        code, stdout, err = run_cli(capsys, "compress", worked_instance, out)
+        assert (code, stdout) == (2, "")
+        assert "cannot write" in json.loads(err)["error"]["message"]
 
 
 class TestFileRoundTrips:
@@ -307,6 +344,67 @@ class TestNumbersPastTheDecimalDigitLimit:
         assert io.decode_result(io.encode_result(result)) == result
         assert io.decode_x_file({"x": [big]}) == (10**5000 - 1,)
 
+    @settings(max_examples=4, deadline=None)
+    @given(
+        digits=st.integers(10**4, 10**5),
+        seed=st.integers(0, 2**32),
+        n=st.integers(1, 3),
+        hidden=st.booleans(),
+    )
+    def test_instance_file_round_trip(self, digits, seed, n, hidden):
+        rng = Random(seed)
+        planted = tuple(rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(n))
+        scale = rng.randrange(1, 1000)
+        public = ProblemInput(n=n, d=rng.randrange(1, 10**digits), y=planted)
+        obj = public
+        if hidden:
+            public = ProblemInput(n=n, d=public.d, y=tuple(scale * v for v in planted))
+            obj = conecompress.HiddenInstance(
+                public=public,
+                hidden_matrix=((-1,) * n,),
+                planted=planted,
+                seed=seed,
+                scale=scale,
+            )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "instance.json"
+            io.write_json(path, io.encode_instance(obj))
+            assert io.decode_instance(io.read_json(path)) == obj
+            assert io.dumps(io.encode_instance(obj)) == path.read_text()
+
+    @settings(max_examples=4, deadline=None)
+    @given(digits=st.integers(10**4, 10**5), seed=st.integers(0, 2**32), n=st.integers(1, 3))
+    def test_result_file_round_trip(self, digits, seed, n):
+        # compress cannot produce such entries (its caps stop near 2**16384),
+        # so the trace is built with replay's arithmetic: each level takes a
+        # reduced fraction num/den and multiplies the tail by den. The last
+        # entry, the product of the dens, has about ``digits`` digits.
+        rng = Random(seed)
+        partial = PartialSolution(n, (1,))
+        steps = []
+        den_digits = digits // max(n - 1, 1)
+        for level in range(n - 1, 0, -1):
+            den = rng.randrange(10 ** (den_digits - 1), 10**den_digits)
+            num = partial.x[0] * den - 1  # coprime to den, and <= the next entry
+            value = Fraction(num, den)
+            bound = BoundResult(value, Constraint(level, (den, -partial.x[0])))
+            partial = PartialSolution(level, (num, *[v * den for v in partial.x]))
+            steps.append(StepRecord(level, den, bound, bound, partial))
+        perm = tuple(rng.sample(range(n), n))
+        result = CompressOutput(
+            x=conecompress.unsort(partial.x, perm),
+            trace=tuple(steps),
+            bound=Fraction(rng.randrange(1, 10**digits), 3),
+            perm=perm,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "result.json"
+            io.write_json(path, io.encode_result(result))
+            decoded = io.decode_result(io.read_json(path))
+            assert decoded == result
+            assert io.replay(decoded) == result.x
+            assert io.decode_x_file(io.read_json(path)) == result.x
+
     def test_bound_prints_every_digit(self):
         proc = run_module("bound", "--n", 15, "--d", 1)
         assert (proc.returncode, proc.stderr) == (0, "")
@@ -347,3 +445,117 @@ def test_console_entry_point_runs():
     proc = run_module("bound", "--n", 4, "--d", 1)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "16"
+
+
+def _valid_instance_docs():
+    docs = [
+        {"n": 4, "d": 1, "y": ["2", "3", "7", "29"]},
+        # with a budget of 1000, verify is over it (5**5 vectors) and compress
+        # not; at n = 6 compress is over it too (65537 prefixes at level 4)
+        {"n": 5, "d": 2, "y": ["3", "14", "15", "92", "65"]},
+        {"n": 6, "d": 2, "y": ["1", "2", "3", "4", "5", "6"]},
+    ]
+    for seed in range(3):
+        docs.append(io.encode_instance(generate(n=3, d=1, m=2, seed=seed, max_entry=20)))
+    return docs
+
+
+VALID_INSTANCES = _valid_instance_docs()
+SMALL = st.integers(0, 50).map(str)
+DECIMALS = st.one_of(
+    SMALL,
+    st.integers(-3, 10**30).map(str),
+    st.integers(0, 3).map(lambda k: "9" * (5000 + k)),  # past Python's digit limit
+    st.text(max_size=4),
+    st.integers(-5, 5),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def instance_docs(draw):
+    """A valid instance document, or one with one field changed or dropped."""
+    doc = dict(draw(st.sampled_from(VALID_INSTANCES)))
+    change = draw(st.sampled_from([None, None, "y", "d", "hidden", "drop"]))
+    if change == "y":
+        doc["y"] = draw(st.lists(SMALL, min_size=1, max_size=5) | st.lists(DECIMALS, max_size=5))
+        doc["n"] = draw(st.just(len(doc["y"])) | st.integers(-1, 7))
+    elif change == "d":
+        doc["d"] = draw(st.integers(1, 3) | st.integers(-1, 0) | st.just(10**40) | JSON_VALUES)
+    elif change == "hidden":
+        doc["hidden"] = draw(
+            st.fixed_dictionaries(
+                {
+                    "matrix": st.lists(st.lists(DECIMALS, max_size=4), max_size=2),
+                    "planted": st.lists(DECIMALS, max_size=4),
+                    "seed": st.integers(-1, 3),
+                    "scale": DECIMALS,
+                }
+            )
+            | JSON_VALUES
+        )
+    elif change == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+@st.composite
+def x_docs(draw):
+    instance = draw(st.sampled_from(VALID_INSTANCES))
+    x = draw(
+        st.just(["1"] * instance["n"])
+        | st.lists(SMALL, min_size=instance["n"], max_size=instance["n"])
+        | st.lists(DECIMALS, max_size=5)
+    )
+    return {"x": x}
+
+
+@st.composite
+def file_bytes(draw, docs):
+    """Mostly a document from ``docs``; else any JSON, any bytes, or deep nesting."""
+    kind = draw(st.sampled_from(["doc", "doc", "doc", "json", "bytes", "deep"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=16))
+    if kind == "deep":
+        return b"[" * 100000
+    return json.dumps(draw(docs if kind == "doc" else JSON_VALUES)).encode()
+
+
+class TestCliContractProperty:
+    """Any instance and x-file content: a documented exit code, never a traceback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(["compress", "verify"]),
+        mode=st.sampled_from(["lambda", "matrix", "bound", "all"]),
+        instance=file_bytes(instance_docs()),
+        x_file=file_bytes(x_docs()),
+    )
+    def test_malformed_and_random_documents(self, command, mode, instance, x_file):
+        with tempfile.TemporaryDirectory() as tmp:
+            inst_path, x_path = Path(tmp) / "instance.json", Path(tmp) / "x.json"
+            inst_path.write_bytes(instance)
+            x_path.write_bytes(x_file)
+            if command == "compress":
+                argv = [command, inst_path, Path(tmp) / "r.json"]
+            else:
+                argv = [command, inst_path, x_path, "--mode", mode]
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([*map(str, argv), "--budget", "1000"])
+        assert code in (0, 1, 2, 3, 4, 5)
+        if code == 0:
+            assert err.getvalue() == ""
+            return
+        error = json.loads(err.getvalue())
+        assert list(error) == ["error"]
+        if code == 1:
+            # only a well-formed verify whose verdicts say so may fail with 1
+            assert command == "verify"
+            assert error["error"]["code"] == "verification"
+            assert not all(v["ok"] for v in json.loads(out.getvalue())["verdicts"].values())

@@ -212,11 +212,13 @@ class TestStep:
         self, monkeypatch, name, coeffs
     ):
         # Level 3 of the worked example has cap 8 and witness tail (7, 29).
+        # step gets both bounds from one _bounds call; replace one side.
         module = importlib.import_module("conecompress.compress")
         tail = PartialSolution(4, (1,))
-        real = getattr(module, name)(3, W4, tail, 8)
-        bad = BoundResult(value=real.value, achieving=Constraint(3, coeffs))
-        monkeypatch.setattr(module, name, lambda *args: bad)
+        side = ["tightest_upper", "tightest_lower"].index(name)
+        bounds = list(module._bounds(3, W4, tail, 8, module.DEFAULT_COMPRESS_BUDGET))
+        bounds[side] = BoundResult(value=bounds[side].value, achieving=Constraint(3, coeffs))
+        monkeypatch.setattr(module, "_bounds", lambda *args: tuple(bounds))
         with pytest.raises(InternalInconsistencyError, match="not admissible"):
             step(3, 1, W4, tail)
 
