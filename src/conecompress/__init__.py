@@ -23,7 +23,6 @@ from .errors import (
     BudgetExceededError,
     ConeCompressError,
     FormatError,
-    HiddenInstanceError,
     InternalInconsistencyError,
     MissingHiddenSectionError,
     RejectionCapError,
@@ -62,7 +61,6 @@ __all__ = [
     "EndToEndReport",
     "FormatError",
     "HiddenInstance",
-    "HiddenInstanceError",
     "InternalInconsistencyError",
     "MissingHiddenSectionError",
     "PartialSolution",

@@ -97,6 +97,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     parsed = io.decode_instance(io.read_json(args.instance))
     public = _public_of(parsed)
     x = io.decode_x_file(io.read_json(args.x_file), where=str(args.x_file))
+    if len(x) != public.n:
+        raise ValidationError(f"x has {len(x)} entries, expected n={public.n}")
+    if not any(x):
+        raise ValidationError("x is the zero vector; a solution must be non-zero")
 
     verdicts: dict[str, Verdict] = {}
     if args.mode in ("lambda", "all"):

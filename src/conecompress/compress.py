@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from operator import mul
 
 from .errors import InternalInconsistencyError
@@ -218,6 +217,31 @@ def _scan_items(d: int, level: int, width: int) -> int | None:
     return scan_size(d, level, width - 1)
 
 
+def _prefixes(cap: int, y_mid, x_mid):
+    """Each prefix in [-cap, cap]**len(y_mid), lexicographically, with its dot
+    products with y_mid and x_mid.
+
+    An odometer: only the digits that change are touched, and the two dot
+    products follow them, so no range of the cap's size is ever built.
+    """
+    w = len(y_mid)
+    prefix = [-cap] * w
+    py, px = -cap * sum(y_mid), -cap * sum(x_mid)
+    while True:
+        yield tuple(prefix), py, px
+        i = w - 1
+        while i >= 0 and prefix[i] == cap:
+            prefix[i] = -cap
+            py -= 2 * cap * y_mid[i]
+            px -= 2 * cap * x_mid[i]
+            i -= 1
+        if i < 0:
+            return
+        prefix[i] += 1
+        py += y_mid[i]
+        px += x_mid[i]
+
+
 def _bounds(level, witness, tail, cap, budget) -> tuple[BoundResult, BoundResult]:
     """(upper, lower): one lattice walk per direction per prefix, one prefix loop.
 
@@ -239,9 +263,7 @@ def _bounds(level, witness, tail, cap, budget) -> tuple[BoundResult, BoundResult
     y_mid, y_last = witness.y[level:-1], witness.y[-1]
     x_mid, x_last = tail.x[:-1], tail.x[-1]
     upper = lower = None
-    for prefix in product(range(-cap, cap + 1), repeat=len(x_mid)):
-        py = sum(map(mul, prefix, y_mid))
-        px = sum(map(mul, prefix, x_mid))
+    for prefix, py, px in _prefixes(cap, y_mid, x_mid):
         candidate = _best_head(a, py, px, y_last, x_last, cap)
         if candidate is not None and _precedes(candidate, upper):
             upper = candidate + (prefix,)

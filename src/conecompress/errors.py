@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package: one class per CLI exit code."""
 
 from __future__ import annotations
 
@@ -7,48 +7,21 @@ class ConeCompressError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class FormatError(ConeCompressError, ValueError):
+    """A file or document does not match the expected schema (exit 2)."""
+
+
 class ValidationError(ConeCompressError, ValueError):
-    """Problem data failed a precondition."""
+    """Problem data failed a precondition (exit 3).
 
-
-class NonPositiveDimensionError(ValidationError):
-    """Dimension n must be at least 1."""
-
-
-class NonPositiveCapError(ValidationError):
-    """Coefficient cap d must be at least 1."""
-
-
-class NegativeEntryError(ValidationError):
-    """Witness entries must be non-negative."""
-
-
-class ZeroWitnessError(ValidationError):
-    """The witness must have at least one positive entry."""
-
-
-class WitnessLengthError(ValidationError):
-    """Witness length must equal the declared dimension."""
-
-
-class MalformedPermutationError(ValidationError):
-    """A permutation argument was not a permutation of 0..n-1."""
-
-
-class DimensionMismatchError(ValidationError):
-    """Vector/matrix dimensions do not agree."""
-
-
-class EntryOutOfRangeError(ValidationError):
-    """A matrix entry falls outside the allowed coefficient range."""
-
-
-class HiddenInstanceError(ValidationError):
-    """A hidden test instance violates its construction invariants."""
+    The message names the check: the dimension, the cap, the witness, a
+    permutation, a vector or matrix shape, a matrix entry, or a hidden
+    instance's construction invariants.
+    """
 
 
 class BudgetExceededError(ConeCompressError):
-    """An enumeration would exceed the configured budget.
+    """An enumeration would exceed the configured budget (exit 4).
 
     ``required`` is the exact number of items the enumeration needs, or
     None when the scan is too large to count (see ``model.scan_size``).
@@ -59,17 +32,13 @@ class BudgetExceededError(ConeCompressError):
         self.required = required
 
 
+class MissingHiddenSectionError(ConeCompressError):
+    """The requested operation needs the instance's hidden section (exit 5)."""
+
+
 class RejectionCapError(ConeCompressError):
-    """Instance generation exhausted its rejection-sampling retries."""
+    """Instance generation exhausted its rejection-sampling retries (exit 6)."""
 
 
 class InternalInconsistencyError(ConeCompressError):
-    """An internal guarantee was violated; indicates an implementation bug."""
-
-
-class FormatError(ConeCompressError, ValueError):
-    """A file or document does not match the expected schema."""
-
-
-class MissingHiddenSectionError(ConeCompressError):
-    """The requested operation needs the instance's hidden section."""
+    """An internal guarantee was violated; indicates an implementation bug (exit 7)."""

@@ -153,9 +153,15 @@ def _decode_fraction(obj: object, where: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _decode_bound_result(obj: object, level: int, where: str) -> BoundResult:
+def _decode_bound_result(
+    obj: object, level: int, width: int, cap: int, where: str
+) -> BoundResult:
     value = _decode_fraction(obj, where)
     coeffs = tuple(_str_list(obj, "constraint", where))
+    if len(coeffs) != width or any(abs(c) > cap for c in coeffs):
+        raise FormatError(
+            f"{where}: constraint needs {width} coefficients within the step's cap"
+        )
     return BoundResult(value=value, achieving=Constraint(level, coeffs))
 
 
@@ -174,6 +180,9 @@ def decode_result(data: object) -> CompressOutput:
         raise FormatError("result: field 'perm' must be a list of integers")
     perm = tuple(perm_raw)
     bound = _decode_fraction(data.get("bound"), "result.bound")
+    max_x = _str_int(data.get("max_x"), "result.max_x")
+    if not x or max_x != max(x):
+        raise FormatError("result: field 'max_x' is not the largest entry of x")
     steps_raw = data.get("steps")
     if not isinstance(steps_raw, list):
         raise FormatError("result: field 'steps' must be a list")
@@ -191,8 +200,9 @@ def decode_result(data: object) -> CompressOutput:
         if level != n - 1 - idx:
             raise FormatError(f"{where}: levels must descend n-1..1, got {level}")
         cap = _str_int(raw.get("cap"), f"{where}.cap")
-        upper = _decode_bound_result(raw.get("upper"), level, f"{where}.upper")
-        lower = _decode_bound_result(raw.get("lower"), level, f"{where}.lower")
+        width = n - level + 1
+        upper = _decode_bound_result(raw.get("upper"), level, width, cap, f"{where}.upper")
+        lower = _decode_bound_result(raw.get("lower"), level, width, cap, f"{where}.lower")
         scale = _str_int(raw.get("scale"), f"{where}.scale")
         if scale != upper.value.denominator:
             raise FormatError(

@@ -17,15 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import (
-    BudgetExceededError,
-    MalformedPermutationError,
-    NegativeEntryError,
-    NonPositiveCapError,
-    NonPositiveDimensionError,
-    WitnessLengthError,
-    ZeroWitnessError,
-)
+from .errors import BudgetExceededError, ValidationError
 
 # Scan sizes above 2**_MATERIALIZE_BITS are never materialized; budget
 # errors then report the count as unknown rather than building a gigantic int.
@@ -97,18 +89,18 @@ class Constraint:
 def validate(problem: ProblemInput) -> SortedWitness:
     """Gate every run: reject bad inputs, return the sorted witness."""
     if problem.n < 1:
-        raise NonPositiveDimensionError(f"dimension must be >= 1, got {problem.n}")
+        raise ValidationError("dimension n must be >= 1")
     if problem.d < 1:
-        raise NonPositiveCapError(f"coefficient cap must be >= 1, got {problem.d}")
+        raise ValidationError("coefficient cap d must be >= 1")
     if len(problem.y) != problem.n:
-        raise WitnessLengthError(
-            f"witness has {len(problem.y)} entries, expected n={problem.n}"
+        raise ValidationError(
+            f"witness length {len(problem.y)} does not equal the dimension n"
         )
     for i, v in enumerate(problem.y):
         if v < 0:
-            raise NegativeEntryError(f"witness entry y({i + 1}) = {v} is negative")
+            raise ValidationError(f"witness entry y({i + 1}) is negative")
     if all(v == 0 for v in problem.y):
-        raise ZeroWitnessError("witness must be non-zero")
+        raise ValidationError("witness must be non-zero")
     perm = tuple(sorted(range(problem.n), key=lambda i: problem.y[i]))
     # From a list: a tuple built from a generator is resized, and a loop of
     # calls then grows in memory through the interpreter's tuple free lists.
@@ -124,9 +116,9 @@ def coefficient_cap(d: int, level: int) -> int:
     (2d)**(2**(j-1)) / 2.
     """
     if d < 1:
-        raise NonPositiveCapError(f"coefficient cap must be >= 1, got {d}")
+        raise ValidationError("coefficient cap d must be >= 1")
     if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
+        raise ValueError("level must be >= 1")
     return (2 * d) ** (2 ** (level - 1)) // 2
 
 
@@ -192,9 +184,9 @@ def bound_value(n: int, d: int) -> Fraction:
     coefficient_cap(d, j) over j = 1..n-1 (an integer for every n, d).
     """
     if n < 1:
-        raise NonPositiveDimensionError(f"dimension must be >= 1, got {n}")
+        raise ValidationError("dimension n must be >= 1")
     if d < 1:
-        raise NonPositiveCapError(f"coefficient cap must be >= 1, got {d}")
+        raise ValidationError("coefficient cap d must be >= 1")
     e = 2 ** (n - 1)
     return Fraction((2 * d) ** (e - 1), 2 ** (n - 1))
 
@@ -203,7 +195,7 @@ def unsort(x_sorted: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
     """Place sorted-position entries back at their original positions."""
     n = len(x_sorted)
     if len(perm) != n or sorted(perm) != list(range(n)):
-        raise MalformedPermutationError(f"not a permutation of 0..{n - 1}: {perm!r}")
+        raise ValidationError(f"perm is not a permutation of 0..{n - 1}")
     out = [0] * n
     for k, p in enumerate(perm):
         out[p] = x_sorted[k]

@@ -14,7 +14,7 @@ from itertools import product
 from operator import mul
 from typing import Sequence
 
-from .errors import DimensionMismatchError, EntryOutOfRangeError
+from .errors import ValidationError
 from .model import (
     Constraint,
     PartialSolution,
@@ -67,7 +67,7 @@ def cone_membership(
     coordinate order.
     """
     if len(x) != len(witness):
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"vector has {len(x)} entries, witness has {len(witness)}"
         )
     check_budget(scan_size(d, 1, len(witness)), budget, "membership scan")
@@ -83,9 +83,9 @@ def level_membership(
     """Membership of a partial solution in its level's implicit cone."""
     n = witness.n
     if not 1 <= p.level <= n - 1:
-        raise DimensionMismatchError(f"level {p.level} out of range for n={n}")
+        raise ValidationError(f"partial solution level is outside 1..{n - 1}")
     if p.n != n:
-        raise DimensionMismatchError(
+        raise ValidationError(
             f"partial solution spans {p.n} coordinates, witness has {n}"
         )
     width = n + 1 - p.level
@@ -101,14 +101,10 @@ def matrix_check(
     n = len(x)
     for i, row in enumerate(matrix):
         if len(row) != n:
-            raise DimensionMismatchError(
-                f"row {i} has {len(row)} entries, expected {n}"
-            )
-        for v in row:
+            raise ValidationError(f"row {i} has {len(row)} entries, expected {n}")
+        for k, v in enumerate(row):
             if abs(v) > d:
-                raise EntryOutOfRangeError(
-                    f"row {i} entry {v} outside [-{d}, {d}]"
-                )
+                raise ValidationError(f"row {i} entry {k} is outside [-d, d]")
     for row in matrix:
         if sum(map(mul, row, x)) > 0:
             return Verdict(ok=False, certificate=Constraint(1, tuple(row)))

@@ -14,14 +14,18 @@ from hypothesis import given, settings, strategies as st
 
 import conecompress
 from conecompress import ProblemInput, compress, generate
-from conecompress import io
+from conecompress import cli, io
 from conecompress.cli import main
 from conecompress.compress import BoundResult, CompressOutput, StepRecord
 from conecompress.model import Constraint, PartialSolution
 from conecompress.errors import (
+    BudgetExceededError,
+    ConeCompressError,
     FormatError,
     InternalInconsistencyError,
+    MissingHiddenSectionError,
     RejectionCapError,
+    ValidationError,
 )
 
 
@@ -101,6 +105,20 @@ class TestVerifyCommand:
             assert all(v["ok"] for v in doc["verdicts"].values())
         code, out, _ = run_cli(capsys, "verify", inst_path, result_path)
         assert set(json.loads(out)["verdicts"]) == {"lambda", "matrix", "bound"}
+
+    def test_x_that_is_zero_or_the_wrong_length_is_invalid(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        io.write_json(inst_path, io.encode_instance(generate(n=4, d=1, m=3, seed=11)))
+        zero, short = tmp_path / "zero.json", tmp_path / "short.json"
+        io.write_json(zero, {"x": ["0", "0", "0", "0"]})
+        io.write_json(short, {"x": ["1", "1", "2"]})
+        cases = [(zero, mode, "zero vector") for mode in ("lambda", "matrix", "bound", "all")]
+        for xfile, mode, words in cases + [(short, "bound", "x has 3 entries")]:
+            code, out, err = run_cli(capsys, "verify", inst_path, xfile, "--mode", mode)
+            assert (code, out) == (3, ""), mode
+            error = json.loads(err)["error"]
+            assert error["code"] == "validation"
+            assert words in error["message"]
 
     def test_worked_example_with_admissible_matrix(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
@@ -329,6 +347,43 @@ class TestFileRoundTrips:
         doc["steps"][0]["scale"] = "5"
         with pytest.raises(FormatError):
             io.replay(io.decode_result(doc))
+        doc = io.encode_result(result)
+        doc["max_x"] = "999"
+        with pytest.raises(FormatError, match="max_x"):
+            io.replay(io.decode_result(doc))
+        doc = io.encode_result(result)
+        assert doc["steps"][0]["cap"] == "8"
+        doc["steps"][0]["upper"]["constraint"] = ["99", "-1"]
+        with pytest.raises(FormatError, match="upper: constraint"):
+            io.replay(io.decode_result(doc))
+
+
+class TestErrorClasses:
+    EXIT_CODES = {
+        FormatError: (2, "parse"),
+        ValidationError: (3, "validation"),
+        BudgetExceededError: (4, "budget"),
+        MissingHiddenSectionError: (5, "missing-hidden"),
+        RejectionCapError: (6, "rejection-cap"),
+        InternalInconsistencyError: (7, "internal"),
+    }
+
+    def test_one_class_per_exit_code(self, monkeypatch, capsys):
+        subclasses, todo = set(), [ConeCompressError]
+        while todo:
+            for sub in todo.pop().__subclasses__():
+                subclasses.add(sub)
+                todo.append(sub)
+        assert subclasses == set(self.EXIT_CODES)
+        for error, (exit_code, code) in self.EXIT_CODES.items():
+
+            def fail(*args, error=error):
+                raise error("raised inside a command handler")
+
+            monkeypatch.setattr(cli, "bound_value", fail)
+            code_seen, _, err = run_cli(capsys, "bound", "--n", 2, "--d", 1)
+            assert code_seen == exit_code, error
+            assert json.loads(err)["error"]["code"] == code
 
 
 class TestNumbersPastTheDecimalDigitLimit:
@@ -378,7 +433,8 @@ class TestNumbersPastTheDecimalDigitLimit:
         # compress cannot produce such entries (its caps stop near 2**16384),
         # so the trace is built with replay's arithmetic: each level takes a
         # reduced fraction num/den and multiplies the tail by den. The last
-        # entry, the product of the dens, has about ``digits`` digits.
+        # entry, the product of the dens, has about ``digits`` digits. Each
+        # constraint has one coefficient per coordinate level..n, within den.
         rng = Random(seed)
         partial = PartialSolution(n, (1,))
         steps = []
@@ -387,7 +443,8 @@ class TestNumbersPastTheDecimalDigitLimit:
             den = rng.randrange(10 ** (den_digits - 1), 10**den_digits)
             num = partial.x[0] * den - 1  # coprime to den, and <= the next entry
             value = Fraction(num, den)
-            bound = BoundResult(value, Constraint(level, (den, -partial.x[0])))
+            coeffs = (den, -1, *[0] * (n - level - 1))
+            bound = BoundResult(value, Constraint(level, coeffs))
             partial = PartialSolution(level, (num, *[v * den for v in partial.x]))
             steps.append(StepRecord(level, den, bound, bound, partial))
         perm = tuple(rng.sample(range(n), n))

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -20,7 +21,7 @@ from conecompress.compress import BoundResult, PartialSolution
 from conecompress.errors import BudgetExceededError, InternalInconsistencyError
 from conecompress.model import Constraint, SortedWitness
 
-from oracle import naive_tightest, scan_tightest
+from oracle import dot, naive_tightest, scan_tightest
 
 W4 = validate(ProblemInput(4, 1, (2, 3, 7, 29)))
 
@@ -343,6 +344,39 @@ class TestCompress:
         with pytest.raises(BudgetExceededError) as info:
             step(100, 1, w, PartialSolution(101, (1,)))
         assert info.value.required is None
+
+
+class TestPrefixes:
+    """compress._prefixes: the prefix loop's odometer."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    @pytest.mark.parametrize("width", [0, 1, 2, 3])
+    def test_lexicographic_order_and_dot_products(self, cap, width):
+        prefixes = importlib.import_module("conecompress.compress")._prefixes
+        y_mid, x_mid = (2, 9, 40)[:width], (1, 3, 7)[:width]
+        got = list(prefixes(cap, y_mid, x_mid))
+        assert [p for p, _, _ in got] == list(
+            product(range(-cap, cap + 1), repeat=width)
+        )
+        for p, py, px in got:
+            assert (py, px) == (dot(p, y_mid), dot(p, x_mid))
+
+    def test_first_prefix_at_a_cap_past_machine_integers(self):
+        prefixes = importlib.import_module("conecompress.compress")._prefixes
+        cap = 2**70
+        assert next(prefixes(cap, (1, 2), (3, 4))) == ((-cap, -cap), -3 * cap, -7 * cap)
+
+    def test_memory_stays_small_at_a_large_cap(self):
+        prefixes = importlib.import_module("conecompress.compress")._prefixes
+        tracemalloc.start()
+        try:
+            it = prefixes(10**8, (1, 2), (3, 4))
+            for _ in range(1000):
+                next(it)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestPartialSolution:

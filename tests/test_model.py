@@ -6,22 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conecompress import (
+    HiddenInstance,
     ProblemInput,
     bound_value,
     coefficient_cap,
+    compress,
     cone_membership,
+    matrix_check,
     unsort,
     validate,
 )
-from conecompress.errors import (
-    MalformedPermutationError,
-    NegativeEntryError,
-    NonPositiveCapError,
-    NonPositiveDimensionError,
-    WitnessLengthError,
-    ZeroWitnessError,
-)
-from conecompress.errors import BudgetExceededError
+from conecompress.errors import BudgetExceededError, ValidationError
 from conecompress.model import check_budget, scan_size, unlimited_int_digits
 
 
@@ -37,23 +32,23 @@ class TestValidate:
         assert w.perm == (1, 2, 0)
 
     def test_zero_witness_rejected(self):
-        with pytest.raises(ZeroWitnessError):
+        with pytest.raises(ValidationError, match="witness must be non-zero"):
             validate(ProblemInput(2, 1, (0, 0)))
 
     def test_nonpositive_dimension(self):
-        with pytest.raises(NonPositiveDimensionError):
+        with pytest.raises(ValidationError, match="dimension n must be >= 1"):
             validate(ProblemInput(0, 1, ()))
 
     def test_nonpositive_cap(self):
-        with pytest.raises(NonPositiveCapError):
+        with pytest.raises(ValidationError, match="coefficient cap d must be >= 1"):
             validate(ProblemInput(2, 0, (1, 2)))
 
     def test_negative_entry(self):
-        with pytest.raises(NegativeEntryError):
+        with pytest.raises(ValidationError, match=r"witness entry y\(2\) is negative"):
             validate(ProblemInput(2, 1, (1, -1)))
 
     def test_length_mismatch(self):
-        with pytest.raises(WitnessLengthError):
+        with pytest.raises(ValidationError, match="witness length 2 does not equal"):
             validate(ProblemInput(3, 1, (1, 2)))
 
     @given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=8))
@@ -81,7 +76,7 @@ class TestCoefficientCap:
             prev = cur
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(NonPositiveCapError):
+        with pytest.raises(ValidationError, match="coefficient cap d must be >= 1"):
             coefficient_cap(0, 1)
         with pytest.raises(ValueError):
             coefficient_cap(1, 0)
@@ -144,6 +139,56 @@ class TestCheckBudget:
             assert str(items) in str(info.value)
 
 
+HUGE = 10**5000  # past Python's default 4300-digit limit on int -> str
+
+
+class TestMessagesPastTheDecimalDigitLimit:
+    """Each error names the failed check, however long the offending number."""
+
+    @pytest.mark.parametrize(
+        "call, words",
+        [
+            (lambda: compress(ProblemInput(2, 1, (1, -HUGE))), r"y\(2\) is negative"),
+            (lambda: matrix_check([[HUGE, 0]], (1, 1), 1), "row 0 entry 0 is outside"),
+            (lambda: validate(ProblemInput(-HUGE, 1, ())), "dimension n"),
+            (lambda: validate(ProblemInput(HUGE, 1, (1,))), "witness length 1"),
+            (lambda: validate(ProblemInput(1, -HUGE, (1,))), "coefficient cap d"),
+            (lambda: coefficient_cap(-HUGE, 1), "coefficient cap d"),
+            (lambda: bound_value(-HUGE, 1), "dimension n"),
+            (lambda: bound_value(1, -HUGE), "coefficient cap d"),
+            (
+                lambda: HiddenInstance(ProblemInput(1, 1, (1,)), ((0,),), (1,), 0, -HUGE),
+                "scale must be",
+            ),
+            (
+                lambda: HiddenInstance(
+                    ProblemInput(1, HUGE, (1,)), ((-HUGE - 1,),), (1,), 0, 1
+                ),
+                r"row 0 has an entry outside \[-d, d\]",
+            ),
+        ],
+        ids=[
+            "compress-negative-entry",
+            "matrix-entry",
+            "validate-n",
+            "validate-length",
+            "validate-d",
+            "cap-d",
+            "bound-n",
+            "bound-d",
+            "hidden-scale",
+            "hidden-entry",
+        ],
+    )
+    def test_validation_error_names_the_check(self, call, words):
+        with pytest.raises(ValidationError, match=words):
+            call()
+
+    def test_level_error_names_the_level(self):
+        with pytest.raises(ValueError, match="level must be >= 1"):
+            coefficient_cap(1, -HUGE)
+
+
 class TestBoundValue:
     def test_examples(self):
         assert bound_value(4, 1) == 16
@@ -175,9 +220,9 @@ class TestUnsort:
         assert unsort((5,), (0,)) == (5,)
 
     def test_malformed(self):
-        with pytest.raises(MalformedPermutationError):
+        with pytest.raises(ValidationError, match="not a permutation"):
             unsort((1, 2), (0, 0))
-        with pytest.raises(MalformedPermutationError):
+        with pytest.raises(ValidationError, match="not a permutation"):
             unsort((1, 2), (0,))
 
 

@@ -15,11 +15,7 @@ from conecompress import (
     validate,
 )
 from conecompress.compress import PartialSolution
-from conecompress.errors import (
-    BudgetExceededError,
-    DimensionMismatchError,
-    EntryOutOfRangeError,
-)
+from conecompress.errors import BudgetExceededError, ValidationError
 
 from oracle import dot, naive_membership
 
@@ -63,7 +59,7 @@ class TestConeMembership:
                 assert verdict.certificate.coeffs == want
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="vector has 2 entries"):
             cone_membership((1, 2), Y4, 1)
 
     def test_budget_gate(self):
@@ -129,7 +125,7 @@ class TestLevelMembership:
 
     def test_level_out_of_range(self):
         w = validate(ProblemInput(2, 1, (1, 2)))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="level is outside"):
             level_membership(PartialSolution(2, (1,)), w, 1)
 
     def test_budget_gate(self):
@@ -158,11 +154,11 @@ class TestMatrixCheck:
         assert verdict.certificate.coeffs == (1, 0, 0, 0)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValidationError, match="row 0 has 2 entries"):
             matrix_check(((1, 0),), (1, 1, 2), 1)
 
     def test_entry_out_of_range(self):
-        with pytest.raises(EntryOutOfRangeError):
+        with pytest.raises(ValidationError, match=r"row 0 entry 0 is outside \[-d, d\]"):
             matrix_check(((2, 0),), (1, 1), 1)
 
 
