@@ -23,6 +23,13 @@ the same problem with the head entry negated. A level thus runs one pass
 over (2*cap+1)**(n-j-1) prefixes, one at the widest level, with two walks
 per prefix; the prefix count is checked against a budget for every level
 before the first one runs.
+
+What does not depend on the prefix is computed once per level: each
+direction's Euclid chain of (+-y_j, y_n), which every walk of the level
+reads and the deepest walk so far extends, and the quotient of 2*cap*y_n
+by y_j, so that one division per prefix gives the head ranges of both
+directions. A walk also returns its point's height, so the best last
+coefficient needs no division of its own.
 """
 
 from __future__ import annotations
@@ -85,9 +92,13 @@ class CompressOutput:
     perm: tuple[int, ...]
 
 
-def _walk(qx: int, qy: int, den: int, a: int, b: int, m: int, n: int) -> int:
-    """Smallest t in [0, n) minimizing the slope from Q to (t, ceil((a*t+b)/m)).
+def _walk(qx: int, qy: int, den: int, chain: list, b: int, n: int) -> tuple[int, int]:
+    """Smallest t in [0, n) minimizing the slope from Q to (t, G(t)), and G(t).
 
+    G(t) = ceil((a*t+b)/m), where chain[0] = (a // m, a % m, m) starts the
+    Euclid chain of (a, m): each next entry is (*divmod(m, r), r) of the
+    one before. The chain depends on (a, m) alone, so one list serves
+    every walk with that pair and grows only as deep as some walk needs.
     Q = (qx/den, qy/den) lies strictly left of t = 0. Shearing by a // m
     and shifting by the rounded b/m keep the slope order and leave
     0 <= a < m with a first point at height 0. If Q is at or above that
@@ -95,14 +106,20 @@ def _walk(qx: int, qy: int, den: int, a: int, b: int, m: int, n: int) -> int:
     the last point) can win; swapping the axes makes them a floor
     staircase of slope m/a, whose best point is the maximum slope from
     the swapped Q, and symmetrically back. Each swap is one Euclid step
-    on (m, a), so the loop runs O(log n) times. Each frame remembers the
-    one point its reduced problem leaves out, compared on the way back.
+    on (m, a), so the loop runs O(log n) times and never past a zero
+    remainder. Each frame remembers the one point its reduced problem
+    leaves out, compared on the way back.
     """
     frames = []
     ceiling = True
     while True:
-        k, a = divmod(a, m)
+        if len(frames) == len(chain):
+            _, r, m = chain[-1]
+            chain.append((*divmod(m, r), r))
+        k, a, m = chain[len(frames)]
         s = -(-b // m) if ceiling else b // m
+        if not frames:
+            k0, s0 = k, s
         b -= s * m
         qy -= k * qx + s * den
         if ceiling:
@@ -115,7 +132,7 @@ def _walk(qx: int, qy: int, den: int, a: int, b: int, m: int, n: int) -> int:
                 break
             # right ends of steps 0..last-1: t_v = (v*m - b) // a
             frames.append((True, qx, qy, a, b, m, n, last))
-            qx, qy, a, b, m, n = qy, qx, m, -b, a, last
+            qx, qy, b, n = qy, qx, -b, last
             ceiling = False
             continue
         last = (a * (n - 1) + b) // m
@@ -140,30 +157,23 @@ def _walk(qx: int, qy: int, den: int, a: int, b: int, m: int, n: int) -> int:
             break
         # left ends of steps 1..last: t_v = ceil((v*m - b) / a)
         frames.append((False, qx, qy, a, b, m, n, t0))
-        qx, qy, a, b, m, n = qy - den, qx, m, m - b, a, last
+        qx, qy, b, n = qy - den, qx, m - b, last
         ceiling = True
+    # h is t's height in the top frame: 0 on an exit there, else the step
+    # the top frame's unwind picks (or its last point's height)
+    h = 0
     for ceiling, qx, qy, a, b, m, n, extra in reversed(frames):
         if ceiling:
-            v, t = t, (t * m - b) // a
-            if (extra * den - qy) * (t * den - qx) < (v * den - qy) * (
+            h, t = t, (t * m - b) // a
+            if (extra * den - qy) * (t * den - qx) < (h * den - qy) * (
                 (n - 1) * den - qx
             ):
-                t = n - 1
+                t, h = n - 1, extra
         else:
             v = t + 1
             t = -((b - v * m) // a)
             t = extra + (t if (v * den - qy) * -qx > -qy * (t * den - qx) else 0)
-    return t
-
-
-def _heads(a: int, k: int, cap: int) -> tuple[int, int] | None:
-    """The heads c in [1, cap] with a*c <= k, as (lo, hi), or None."""
-    if a > 0:
-        return (1, min(cap, k // a)) if k >= a else None
-    if a < 0:
-        lo = max(1, -(-k // a))
-        return (lo, cap) if lo <= cap else None
-    return (1, cap) if k >= 0 else None
+    return t, k0 * t + s0 + h
 
 
 def _precedes(new: tuple[int, int, int], old) -> bool:
@@ -174,32 +184,33 @@ def _precedes(new: tuple[int, int, int], old) -> bool:
     return lhs < rhs or (lhs == rhs and new[1] < old[1])
 
 
-def _best_head(a: int, py: int, px: int, y_last: int, x_last: int, cap: int):
-    """Minimize (x_last*G(c) - px)/c over heads c in [1, cap], smallest c first.
+def _best_head(a, chain, feasible, clamped, py, px, x_last, cap):
+    """Minimize (x_last*G(c) - px)/c over the heads c in ``feasible``, smallest c first.
 
     G(c) = max(-cap, ceil((a*c + py)/y_last)) is minus the best last
-    coefficient for head c; c is admissible iff G(c) <= cap. Returns
-    (x_last*G(c) - px, c, G(c)), or None when no head is admissible.
-    The clamped heads (G = -cap) share one numerator, so the best of them
-    is an end of their range; the rest is one lattice walk.
+    coefficient for head c, and chain starts the Euclid chain of
+    (a, y_last) (see _walk). ``feasible`` holds the heads with G(c) <= cap
+    and ``clamped`` those with G(c) = -cap, each as an inclusive
+    (lo, hi) that is empty when lo > hi. Returns (x_last*G(c) - px, c, G(c)),
+    or None when no head is feasible. The clamped heads share one
+    numerator, so the best of them is an end of their range; the rest is
+    one lattice walk.
     """
-    feasible = _heads(a, cap * y_last - py, cap)
-    if feasible is None:
-        return None
     lo, hi = feasible
+    if lo > hi:
+        return None
     best = None
-    clamped = _heads(a, -cap * y_last - py, cap)
-    if clamped is not None:
+    clamped_lo, clamped_hi = clamped
+    if clamped_lo <= clamped_hi:
         num = -cap * x_last - px
-        best = (num, clamped[1] if num > 0 else clamped[0], -cap)
+        best = (num, clamped_hi if num > 0 else clamped_lo, -cap)
         if a > 0:
-            lo = clamped[1] + 1
+            lo = clamped_hi + 1
         else:
-            hi = clamped[0] - 1
+            hi = clamped_lo - 1
     if lo <= hi:
-        c = lo + _walk(-lo * x_last, px, x_last, a, a * lo + py, y_last, hi - lo + 1)
-        g = -(-(a * c + py) // y_last)
-        candidate = (x_last * g - px, c, g)
+        t, g = _walk(-lo * x_last, px, x_last, chain, a * lo + py, hi - lo + 1)
+        candidate = (x_last * g - px, lo + t, g)
         if _precedes(candidate, best):
             best = candidate
     return best
@@ -253,21 +264,40 @@ def _bounds(level, witness, tail, cap, budget) -> tuple[BoundResult, BoundResult
     tie-break on the tail.
     """
     if tail.level != level + 1:
-        raise ValueError(f"tail is at level {tail.level}, expected {level + 1}")
+        raise ValueError("tail must start at level + 1")
     if tail.n != witness.n:
         raise ValueError("tail and witness dimensions differ")
     if not 1 <= level <= witness.n - 1:
-        raise ValueError(f"level {level} out of range for n={witness.n}")
+        raise ValueError("level is outside 1..n-1 for the witness")
     check_budget(_scan_items(cap, 1, tail.n - level), budget, f"bound at level {level}")
     a = witness.y[level - 1]
     y_mid, y_last = witness.y[level:-1], witness.y[-1]
     x_mid, x_last = tail.x[:-1], tail.x[-1]
+    up_chain, down_chain = [(*divmod(a, y_last), y_last)], [(*divmod(-a, y_last), y_last)]
+    span = 2 * cap * y_last
+    if a:
+        dq, dr = divmod(span, a)
     upper = lower = None
     for prefix, py, px in _prefixes(cap, y_mid, x_mid):
-        candidate = _best_head(a, py, px, y_last, x_last, cap)
+        # head c is feasible iff a*c <= room in the upper direction and
+        # -a*c <= room in the lower one, clamped iff the same holds with
+        # room - span; floor((room - span)/a) = fq - dq - (r < dr), so one
+        # division by a gives all four range ends
+        room = cap * y_last - py
+        if a:
+            fq, r = divmod(room, a)
+            cq = fq - dq - (r < dr)
+        else:  # a zero head admits every head or none, in both directions
+            fq = cap if room >= 0 else -cap - 1
+            cq = cap if room >= span else -cap - 1
+        candidate = _best_head(
+            a, up_chain, (1, min(cap, fq)), (1, min(cap, cq)), py, px, x_last, cap
+        )
         if candidate is not None and _precedes(candidate, upper):
             upper = candidate + (prefix,)
-        candidate = _best_head(-a, py, px, y_last, x_last, cap)
+        candidate = _best_head(
+            -a, down_chain, (max(1, -fq), cap), (max(1, -cq), cap), py, px, x_last, cap
+        )
         if candidate is not None and _precedes(candidate, lower):
             lower = candidate + (prefix,)
     if upper is None or lower is None:

@@ -12,10 +12,10 @@ form for the guaranteed bound on the output's maximum entry.
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import wraps
+from typing import Callable, Sequence
 
 from .errors import BudgetExceededError, ValidationError
 
@@ -59,15 +59,15 @@ class PartialSolution:
 
     def __post_init__(self) -> None:
         if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
+            raise ValueError("level must be >= 1")
         if not self.x:
             raise ValueError("partial solution cannot be empty")
         if any(v < 0 for v in self.x):
-            raise ValueError(f"partial solution has a negative entry: {self.x}")
+            raise ValueError("partial solution x has a negative entry")
         if self.x[-1] < 1:
             raise ValueError("last coordinate must stay >= 1")
         if any(a > b for a, b in zip(self.x, self.x[1:])):
-            raise ValueError(f"partial solution must be non-decreasing: {self.x}")
+            raise ValueError("partial solution x must be non-decreasing")
 
     @property
     def n(self) -> int:
@@ -132,7 +132,7 @@ def scan_size(d: int, level: int, width: int) -> int | None:
     scan_size(c, 1, width) sizes a scan at a known cap c.
     """
     if d < 1 or level < 1 or width < 1:
-        raise ValueError(f"requires d, level, width >= 1, got {d, level, width}")
+        raise ValueError("scan_size requires d, level and width >= 1")
     if level - 1 >= _MATERIALIZE_BITS.bit_length():  # keeps the shift below small
         return None
     if width * ((2 * d).bit_length() - 1) << (level - 1) >= _MATERIALIZE_BITS:
@@ -156,25 +156,40 @@ def check_budget(items: int | None, budget: int, what: str) -> None:
         )
 
 
-@contextmanager
-def unlimited_int_digits() -> Iterator[None]:
+# Python 3.10.0-3.10.6 has no limit and no setter: read that as a limit of 0
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+class unlimited_int_digits:
     """Lift Python's limit on decimal int<->str conversion for a block.
 
     Also usable as a decorator, which lifts the limit for each call.
 
     Entries, bounds and scan sizes can exceed the default 4300 digits.
-    Python 3.10.0-3.10.6 has no limit and no setter.
+    Where the limit is already lifted (0), as inside another such block,
+    entering and leaving change nothing; otherwise leaving restores the
+    limit found on entry. An instance holds the limit it found, so nested
+    blocks each take their own instance.
     """
-    set_limit = getattr(sys, "set_int_max_str_digits", None)
-    if set_limit is None:
-        yield
-        return
-    previous = sys.get_int_max_str_digits()
-    set_limit(0)
-    try:
-        yield
-    finally:
-        set_limit(previous)
+
+    def __enter__(self) -> None:
+        self._previous = _int_max_str_digits()
+        if self._previous:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc_info) -> None:
+        if self._previous:
+            sys.set_int_max_str_digits(self._previous)
+
+    def __call__(self, fn: Callable) -> Callable:
+        @wraps(fn)
+        def lifted(*args, **kwargs):
+            if not _int_max_str_digits():  # already lifted: skip the instance
+                return fn(*args, **kwargs)
+            with unlimited_int_digits():
+                return fn(*args, **kwargs)
+
+        return lifted
 
 
 def bound_value(n: int, d: int) -> Fraction:

@@ -1,7 +1,10 @@
+import hashlib
 import importlib
+import json
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -11,6 +14,7 @@ from conecompress import (
     ProblemInput,
     coefficient_cap,
     compress,
+    generate,
     level_membership,
     step,
     tightest_lower,
@@ -24,6 +28,9 @@ from conecompress.model import Constraint, SortedWitness
 from oracle import dot, naive_tightest, scan_tightest
 
 W4 = validate(ProblemInput(4, 1, (2, 3, 7, 29)))
+HARD_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "hard_regime_trace_digests.json").read_text()
+)
 
 
 def witness(*y):
@@ -128,16 +135,23 @@ def sorted_tuples(length, top):
 
 @st.composite
 def level_cases(draw):
-    """A level problem with witness entries up to 10**300.
+    """A level problem with witness entries up to 10**1000.
 
     Entries come from a pool of at most three values plus zero, so zero
     heads and equal entries are common; equal tail entries and zero heads
-    are what let a prefix reach the clamps at +-cap.
+    are what let a prefix reach the clamps at +-cap. Some pools hold small
+    multiples of one base, so that every prefix's dot product is a
+    multiple of the base and the head-range divisions are often exact.
     """
     width = draw(st.integers(1, 3))
     cap = draw(st.integers(1, (32768, 128, 8)[width - 1]))
-    entry = st.one_of(st.integers(0, 12), st.integers(0, 10**300))
-    pool = draw(st.lists(entry, min_size=1, max_size=3)) + [0]
+    entry = st.one_of(st.integers(0, 12), st.integers(0, 10**300), st.integers(0, 10**1000))
+    multiples = st.builds(
+        lambda base, ks: [base * k for k in ks],
+        st.one_of(st.integers(1, 12), st.integers(1, 10**1000)),
+        st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    )
+    pool = draw(st.one_of(st.lists(entry, min_size=1, max_size=3), multiples)) + [0]
     y = sorted(draw(st.lists(st.sampled_from(pool), min_size=width + 1, max_size=width + 1)))
     x = sorted(draw(st.lists(entry, min_size=width, max_size=width)))
     y[-1] = y[-1] or 1
@@ -182,6 +196,109 @@ class TestKernel:
         assert up.numerator * lo.denominator - lo.numerator * up.denominator == 1
         assert max(up.denominator, lo.denominator) <= cap
         assert up.denominator + lo.denominator > cap
+
+
+class TestPlan:
+    """A level's work is what compress._scan_items plans for it."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "y", [(0, 5, 7, 9), (3, 5, 7, 9), (9, 9, 9, 9)], ids=["zero-head", "distinct", "equal"]
+    )
+    def test_two_head_searches_per_planned_prefix(self, monkeypatch, width, y):
+        module = importlib.import_module("conecompress.compress")
+        calls = []
+        best_head = module._best_head
+
+        def counted(*args):
+            calls.append(args)
+            return best_head(*args)
+
+        monkeypatch.setattr(module, "_best_head", counted)
+        cap = 3
+        w = witness(y[0], *y[-width:])
+        module._bounds(1, w, PartialSolution(2, (1, 2, 4)[-width:]), cap, 10**6)
+        assert len(calls) == 2 * module._scan_items(cap, 1, width) == 2 * 7 ** (width - 1)
+
+
+class TestEuclidChain:
+    """compress._walk shares one Euclid chain per level and direction."""
+
+    @pytest.mark.parametrize(
+        "y",
+        [(0, 7, 7, 29), (29, 29, 29), (0, 0, 29), (4, 8, 24), (2, 3, 7, 29)],
+        ids=["zero-head", "equal-entries", "zeros", "divisors", "worked-example"],
+    )
+    def test_never_extended_past_a_zero_remainder(self, monkeypatch, y):
+        module = importlib.import_module("conecompress.compress")
+        walk, chains = module._walk, []
+
+        def checked(qx, qy, den, chain, b, n):
+            result = walk(qx, qy, den, chain, b, n)
+            assert all(r != 0 for _, r, _ in chain[:-1])
+            assert all(0 <= r < m for _, r, m in chain)
+            chains.append(chain)
+            return result
+
+        monkeypatch.setattr(module, "_walk", checked)
+        compress(ProblemInput(len(y), 2, y))
+        assert chains
+        for chain in chains:
+            if chain[0][1] == 0:  # y_j == 0 or y_j == y_last
+                assert len(chain) == 1
+
+    def test_chain_is_shared_and_grows_lazily(self, monkeypatch):
+        module = importlib.import_module("conecompress.compress")
+        walk, seen = module._walk, []
+
+        def recorded(qx, qy, den, chain, b, n):
+            seen.append((chain, len(chain)))
+            return walk(qx, qy, den, chain, b, n)
+
+        monkeypatch.setattr(module, "_walk", recorded)
+        # a = 13, y_last = 21: consecutive Fibonacci numbers, the longest chain
+        module._bounds(1, witness(13, 20, 21), PartialSolution(2, (2, 3)), 50, 10**6)
+        chains = {id(chain): chain for chain, _ in seen}
+        assert len(chains) == 2  # one per direction
+        assert all(before <= len(chain) for chain, before in seen)
+        assert max(map(len, chains.values())) > 2
+        for chain in chains.values():
+            a, m = chain[0][0] * chain[0][2] + chain[0][1], chain[0][2]
+            for k, r, divisor in chain:
+                assert (k, r, divisor) == (*divmod(a, m), m)
+                a, m = m, r
+
+
+def trace_digest(out):
+    """SHA-256 of x and of every level's bounds and achieving constraints."""
+    steps = [
+        [
+            rec.level,
+            str(rec.upper.value),
+            list(rec.upper.achieving.coeffs),
+            str(rec.lower.value),
+            list(rec.lower.achieving.coeffs),
+        ]
+        for rec in out.trace
+    ]
+    text = json.dumps({"x": list(out.x), "steps": steps}, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenTraces:
+    """Hard-regime traces pinned by digest: scale 1, entries up to 10**1000.
+
+    The digests in tests/data were computed by the kernel that divided
+    afresh in every walk, before the per-level Euclid chains; any change
+    to an output, a bound or a tie-break shows here.
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("n, d", [(6, 1), (5, 2)])
+    def test_full_trace_digest(self, n, d, seed):
+        instance = generate(n, d, 2 * n, seed, scale=1, max_entry=10**1000)
+        out = compress(instance.public)
+        assert trace_digest(out) == HARD_DIGESTS[f"n{n}_d{d}_seed{seed}"]
 
 
 class TestStep:

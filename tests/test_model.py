@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -7,7 +8,9 @@ from hypothesis import given, strategies as st
 
 from conecompress import (
     HiddenInstance,
+    PartialSolution,
     ProblemInput,
+    SortedWitness,
     bound_value,
     coefficient_cap,
     compress,
@@ -16,6 +19,7 @@ from conecompress import (
     unsort,
     validate,
 )
+from conecompress.compress import _bounds
 from conecompress.errors import BudgetExceededError, ValidationError
 from conecompress.model import check_budget, scan_size, unlimited_int_digits
 
@@ -139,6 +143,44 @@ class TestCheckBudget:
             assert str(items) in str(info.value)
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no digit limit"
+)
+class TestUnlimitedIntDigits:
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(before)
+
+    def test_block_lifts_and_restores(self):
+        with unlimited_int_digits():
+            assert sys.get_int_max_str_digits() == 0
+            with unlimited_int_digits():
+                assert sys.get_int_max_str_digits() == 0
+            assert sys.get_int_max_str_digits() == 0  # the inner block changed nothing
+        assert sys.get_int_max_str_digits() == 4300
+
+    def test_restores_on_an_exception(self):
+        with pytest.raises(KeyError):
+            with unlimited_int_digits():
+                raise KeyError
+        assert sys.get_int_max_str_digits() == 4300
+
+    def test_decorator_lifts_for_each_call(self):
+        @unlimited_int_digits()
+        def digits(v):
+            return len(str(v)), sys.get_int_max_str_digits()
+
+        assert digits(10**5000) == (5001, 0)
+        assert sys.get_int_max_str_digits() == 4300
+        with unlimited_int_digits():
+            assert digits(1) == (1, 0)
+            assert sys.get_int_max_str_digits() == 0
+        assert sys.get_int_max_str_digits() == 4300
+
+
 HUGE = 10**5000  # past Python's default 4300-digit limit on int -> str
 
 
@@ -187,6 +229,24 @@ class TestMessagesPastTheDecimalDigitLimit:
     def test_level_error_names_the_level(self):
         with pytest.raises(ValueError, match="level must be >= 1"):
             coefficient_cap(1, -HUGE)
+
+    @pytest.mark.parametrize(
+        "call, words",
+        [
+            (lambda: scan_size(-HUGE, 1, 1), "requires d, level and width >= 1"),
+            (lambda: PartialSolution(-HUGE, (1,)), "level must be >= 1"),
+            (lambda: PartialSolution(1, (-HUGE, 1)), "x has a negative entry"),
+            (lambda: PartialSolution(1, (HUGE, 1)), "x must be non-decreasing"),
+            (
+                lambda: _bounds(HUGE, SortedWitness((1, 2), (0, 1)), PartialSolution(2, (1,)), 1, 1),
+                "tail must start at level",
+            ),
+        ],
+        ids=["scan-size", "partial-level", "partial-negative", "partial-order", "bounds-level"],
+    )
+    def test_value_error_names_the_field(self, call, words):
+        with pytest.raises(ValueError, match=words):
+            call()
 
 
 class TestBoundValue:
