@@ -42,13 +42,15 @@ EXIT_INTERNAL = 7
 _BOUND_PRINT_BITS = 2**21
 
 
+# Type errors name the option (argparse prefixes it), never the value,
+# which may be thousands of digits long.
 def _positive_int(text: str) -> int:
     try:
         v = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise argparse.ArgumentTypeError("must be an integer")
     if v < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {v}")
+        raise argparse.ArgumentTypeError("must be >= 1")
     return v
 
 
@@ -56,15 +58,24 @@ def _u64(text: str) -> int:
     try:
         v = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise argparse.ArgumentTypeError("must be an integer")
     if not 0 <= v < 2**64:
-        raise argparse.ArgumentTypeError(f"must fit in 64 bits, got {v}")
+        raise argparse.ArgumentTypeError("must fit in 64 bits")
     return v
 
 
 def _print_error(code: str, message: str, **extra: object) -> None:
     doc = {"error": {"code": code, "message": message, **extra}}
     print(json.dumps(doc, indent=2), file=sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one JSON error on stderr, not
+    usage text; its subcommand parsers are of the same class."""
+
+    def error(self, message: str):
+        _print_error("usage", f"{self.prog}: {message}")
+        self.exit(EXIT_PARSE)
 
 
 def _public_of(parsed: ProblemInput | HiddenInstance) -> ProblemInput:
@@ -214,7 +225,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conecompress",
         description=(
             "Find a small integral vector in an unknown polyhedral cone, "
@@ -263,11 +274,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code is None else int(exc.code)
     with unlimited_int_digits():
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help, or a usage error already printed
+            return 0 if exc.code is None else int(exc.code)
         try:
             return args.handler(args)
         except FormatError as exc:

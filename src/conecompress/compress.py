@@ -13,23 +13,28 @@ partial solution by that reduced denominator restores integrality, and
 the product of the caps bounds the final entries.
 
 A constraint at level j looks like c_j x(j) + sum(c_i x(i), i > j) <= 0.
-Both bounds come from one pass over the prefixes (c_{j+1}, ..., c_{n-1})
-of the tail, every tail coefficient but the last. With the prefix fixed,
-the best last coefficient for a head c is a clamped ceiling of a linear
-function of c, so the best head is the point of a lattice staircase seen
-at the least slope from a fixed point, found by a Euclid-style walk in
+For a fixed head c_j and all tail coefficients but the last, the best
+last coefficient is a clamped ceiling of a linear function, so the
+remaining search over one more coefficient is a lattice staircase seen at
+the least slope from a fixed point, found by a Euclid-style walk in
 O(log cap) steps however long the witness entries are; the lower bound is
-the same problem with the head entry negated. A level thus runs one pass
-over (2*cap+1)**(n-j-1) prefixes, one at the widest level, with two walks
-per prefix; the prefix count is checked against a budget for every level
-before the first one runs.
+the same problem with the head entry negated. The widest level j = n-1
+has no other tail coefficient and walks its heads, one walk per bound:
+its cap, 2**31 at n = 7 and d = 1, is far too large to enumerate. Every other level enumerates the
+heads c in [1, cap] and the earlier prefixes (c_{j+1}, ..., c_{n-2}) and
+walks the last prefix coordinate c_{n-1} in [-cap, cap]: a head has half
+the range of a prefix coordinate, so this is cap*(2*cap+1)**(n-j-2)
+searches of at most one walk each per bound, about half of walking the
+heads for each of the (2*cap+1)**(n-j-1) prefixes. Each level's count is checked against a
+budget before the first level runs.
 
-What does not depend on the prefix is computed once per level: each
-direction's Euclid chain of (+-y_j, y_n), which every walk of the level
-reads and the deepest walk so far extends, and the quotient of 2*cap*y_n
-by y_j, so that one division per prefix gives the head ranges of both
-directions. A walk also returns its point's height, so the best last
-coefficient needs no division of its own.
+What does not depend on the item is computed once per level: the Euclid
+chain of (y_{n-1}, y_n), which every walk of the level reads in both
+directions and the deepest walk so far extends; the far point the walks
+look from (see _best_last); and the quotient of 2*cap*y_n by y_{n-1},
+so that one division per item and direction gives the walk's range. A
+walk also returns its point's height, so the best last coefficient needs
+no division of its own.
 """
 
 from __future__ import annotations
@@ -177,55 +182,97 @@ def _walk(qx: int, qy: int, den: int, chain: list, b: int, n: int) -> tuple[int,
 
 
 def _precedes(new: tuple[int, int, int], old) -> bool:
-    """(num/c, c) order on (num, c, g) candidates; None is last."""
+    """(num/c, c) order on (num, c, ...) candidates; None is last."""
     if old is None:
         return True
     lhs, rhs = new[0] * old[1], old[0] * new[1]
     return lhs < rhs or (lhs == rhs and new[1] < old[1])
 
 
-def _best_head(a, chain, feasible, clamped, py, px, x_last, cap):
-    """Minimize (x_last*G(c) - px)/c over the heads c in ``feasible``, smallest c first.
+def _best_head(a, y_last, x_last, cap):
+    """Minimize x_last*G(c)/c over the heads c in [1, cap], smallest c first.
 
-    G(c) = max(-cap, ceil((a*c + py)/y_last)) is minus the best last
-    coefficient for head c, and chain starts the Euclid chain of
-    (a, y_last) (see _walk). ``feasible`` holds the heads with G(c) <= cap
-    and ``clamped`` those with G(c) = -cap, each as an inclusive
-    (lo, hi) that is empty when lo > hi. Returns (x_last*G(c) - px, c, G(c)),
-    or None when no head is feasible. The clamped heads share one
-    numerator, so the best of them is an end of their range; the rest is
-    one lattice walk.
+    The search of the widest level, whose only prefix is the empty one.
+    G(c) = max(-cap, ceil(a*c/y_last)) is minus the best last coefficient
+    for head c. Head c is feasible when a*c <= cap*y_last (G(c) <= cap) and
+    clamped when a*c <= -cap*y_last (G(c) = -cap): for a >= 0 no head is
+    clamped, and for a < 0 every head is feasible and the clamped ones, if
+    any, are the high end. Returns (x_last*G(c), c, G(c), ()), or None when no head is
+    feasible. The clamped heads share one negative numerator, so the first
+    of them is their best; the rest is one lattice walk from Q = (0, 0).
     """
-    lo, hi = feasible
-    if lo > hi:
-        return None
-    best = None
-    clamped_lo, clamped_hi = clamped
-    if clamped_lo <= clamped_hi:
-        num = -cap * x_last - px
-        best = (num, clamped_hi if num > 0 else clamped_lo, -cap)
-        if a > 0:
-            lo = clamped_hi + 1
-        else:
-            hi = clamped_lo - 1
-    if lo <= hi:
-        t, g = _walk(-lo * x_last, px, x_last, chain, a * lo + py, hi - lo + 1)
-        candidate = (x_last * g - px, lo + t, g)
+    top = cap * y_last
+    hi, best = cap, None
+    if a > 0:
+        hi = min(cap, top // a)
+    elif a < 0 and -(top // a) <= cap:
+        hi = -(top // a) - 1  # -(top // a) is the first clamped head
+        best = (-cap * x_last, hi + 1, -cap, ())
+    if hi >= 1:
+        t, g = _walk(-x_last, 0, x_last, [(*divmod(a, y_last), y_last)], a, hi)
+        candidate = (x_last * g, 1 + t, g, ())
         if _precedes(candidate, best):
             best = candidate
     return best
 
 
-def _scan_items(d: int, level: int, width: int) -> int | None:
-    """Lattice walks one bound runs at a level with ``width`` tail coordinates.
+def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap):
+    """Minimize x_last*G(q) - x_q*q - px over q in [-cap, hi], smallest q first.
 
-    One walk per prefix: (2*cap+1)**(width-1). The widest level has the
-    empty prefix only, and counts as None when its cap is too large to
-    build (see scan_size).
+    q is the last prefix coordinate, with the head and the earlier prefix
+    fixed: beta is their dot product with the witness and px the earlier
+    prefix's with the tail. G(q) = max(-cap, ceil((y_q*q + beta)/y_last))
+    is minus the best last coefficient, and chain starts the Euclid chain
+    of (y_q, y_last) (see _walk). The q <= hi are feasible (G(q) <= cap)
+    and the q <= clamped_hi clamped (G(q) = -cap). Returns
+    (x_last*G(q) - x_q*q - px, G(q), q), or None when hi < -cap.
+
+    The clamped q share G, so their best is the right end when x_q > 0 and
+    -cap otherwise; they lie left of the rest, so they win ties. The rest,
+    q = lo + t for t in [0, N), is one walk from the far point
+    Q = (-D, K - s*D), with s = x_q/x_last, K = cap + 1 and
+    D = 4*cap**2*(x_last + x_q) + 1, passed as ``far`` = (-D*x_last,
+    K*x_last - x_q*D) over the denominator x_last. Write L(t) = G(t) - s*t,
+    the objective up to the constant s*lo and the factor x_last. The slope
+    from Q to (t, G(t)) is s - A(t)/(t + D) with A(t) = K - L(t). On the
+    walk's range -cap < G(t) <= cap and 0 <= t <= 2*cap, so
+    0 < A(t) <= 2*cap*(1 + s). The walk returns the least slope, smallest
+    t first, that is the largest A(t)/(t + D). That is the least L(t),
+    smallest t first: distinct values of x_last*L(t) are integers, so
+    A1 > A2 gives A1 - A2 >= 1/x_last, and then
+    A1*(t2 + D) - A2*(t1 + D) >= D/x_last - A2*t1 > 0, as
+    A2*t1 <= 4*cap**2*(x_last + x_q)/x_last < D/x_last; equal A go to the
+    smaller t. With y_q = 0, G is constant, and the walk picks q = hi when
+    x_q > 0 and its left end otherwise.
     """
-    if width == 1:
-        return None if scan_size(d, level, 1) is None else 1
-    return scan_size(d, level, width - 1)
+    if hi < -cap:
+        return None
+    lo, best = -cap, None
+    if clamped_hi >= -cap:
+        q = clamped_hi if x_q else -cap
+        best = (-cap * x_last - x_q * q - px, -cap, q)
+        lo = clamped_hi + 1
+    if lo <= hi:
+        t, g = _walk(*far, x_last, chain, beta + lo * y_q, hi - lo + 1)
+        num = x_last * g - x_q * (lo + t) - px
+        if best is None or num < best[0]:
+            best = (num, g, lo + t)
+    return best
+
+
+def _scan_items(d: int, level: int, width: int) -> int | None:
+    """Searches one bound runs at a level with ``width`` tail coordinates.
+
+    The widest level (width 1) runs one head walk. Every other level runs
+    one search per head c in [1, cap] and earlier prefix in
+    [-cap, cap]**(width-2): cap*(2*cap+1)**(width-2). None when the cap
+    is too large to build (see scan_size).
+    """
+    size = scan_size(d, level, max(width - 1, 1))
+    if size is None or width == 1:
+        return None if size is None else 1
+    cap = coefficient_cap(d, level)
+    return cap * size // (2 * cap + 1)
 
 
 def _prefixes(cap: int, y_mid, x_mid):
@@ -254,14 +301,17 @@ def _prefixes(cap: int, y_mid, x_mid):
 
 
 def _bounds(level, witness, tail, cap, budget) -> tuple[BoundResult, BoundResult]:
-    """(upper, lower): one lattice walk per direction per prefix, one prefix loop.
+    """(upper, lower): one head walk per direction at the widest level, else
+    one _best_last per direction and item.
 
-    A prefix is every tail coefficient but the last. The lower bound with
-    head -e is the upper bound's problem with the head entry negated, so
-    both directions share _best_head and the prefix's partial dot products.
-    Prefixes run in lexicographic order and, in each direction, a later one
-    wins only on a strictly better (value, |head|), which reproduces the
-    tie-break on the tail.
+    The lower bound with head -c is the upper bound's problem with the
+    head entry negated. Below the widest level an item is a head c and an
+    earlier prefix (every tail coefficient but the last two). Heads run in
+    ascending order, earlier prefixes in lexicographic order, and
+    _best_last returns the smallest last prefix coordinate among ties, so
+    a later item wins only on a strictly better (value, |head|), which
+    reproduces the tie-break on the tail. Both directions and every head
+    share the level's Euclid chain of (y_q, y_last) and its far point.
     """
     if tail.level != level + 1:
         raise ValueError("tail must start at level + 1")
@@ -271,35 +321,43 @@ def _bounds(level, witness, tail, cap, budget) -> tuple[BoundResult, BoundResult
         raise ValueError("level is outside 1..n-1 for the witness")
     check_budget(_scan_items(cap, 1, tail.n - level), budget, f"bound at level {level}")
     a = witness.y[level - 1]
-    y_mid, y_last = witness.y[level:-1], witness.y[-1]
-    x_mid, x_last = tail.x[:-1], tail.x[-1]
-    up_chain, down_chain = [(*divmod(a, y_last), y_last)], [(*divmod(-a, y_last), y_last)]
-    span = 2 * cap * y_last
-    if a:
-        dq, dr = divmod(span, a)
-    upper = lower = None
-    for prefix, py, px in _prefixes(cap, y_mid, x_mid):
-        # head c is feasible iff a*c <= room in the upper direction and
-        # -a*c <= room in the lower one, clamped iff the same holds with
-        # room - span; floor((room - span)/a) = fq - dq - (r < dr), so one
-        # division by a gives all four range ends
-        room = cap * y_last - py
-        if a:
-            fq, r = divmod(room, a)
-            cq = fq - dq - (r < dr)
-        else:  # a zero head admits every head or none, in both directions
-            fq = cap if room >= 0 else -cap - 1
-            cq = cap if room >= span else -cap - 1
-        candidate = _best_head(
-            a, up_chain, (1, min(cap, fq)), (1, min(cap, cq)), py, px, x_last, cap
-        )
-        if candidate is not None and _precedes(candidate, upper):
-            upper = candidate + (prefix,)
-        candidate = _best_head(
-            -a, down_chain, (max(1, -fq), cap), (max(1, -cq), cap), py, px, x_last, cap
-        )
-        if candidate is not None and _precedes(candidate, lower):
-            lower = candidate + (prefix,)
+    y_last, x_last = witness.y[-1], tail.x[-1]
+    if level == witness.n - 1:
+        bests = [_best_head(sign * a, y_last, x_last, cap) for sign in (1, -1)]
+    else:
+        y_mid, y_q = witness.y[level:-2], witness.y[-2]
+        x_mid, x_q = tail.x[:-2], tail.x[-2]
+        chain = [(*divmod(y_q, y_last), y_last)]
+        far_d = 4 * cap * cap * (x_last + x_q) + 1
+        far = (-far_d * x_last, (cap + 1) * x_last - x_q * far_d)
+        top, span = cap * y_last, 2 * cap * y_last
+        if y_q:
+            dq, dr = divmod(span, y_q)
+        bests = []
+        for sign in (1, -1):
+            best = None
+            for c in range(1, cap + 1):
+                ac = sign * a * c
+                for prefix, py, px in _prefixes(cap, y_mid, x_mid):
+                    # q is feasible iff y_q*q <= room and clamped iff the
+                    # same holds with room - span; floor((room - span)/y_q)
+                    # = fq - dq - (r < dr), so one division gives both
+                    beta = py + ac
+                    room = top - beta
+                    if y_q:
+                        fq, r = divmod(room, y_q)
+                        cq = fq - dq - (r < dr)
+                    else:  # G does not depend on q: every q or none
+                        fq = cap if room >= 0 else -cap - 1
+                        cq = cap if room >= span else -cap - 1
+                    found = _best_last(
+                        chain, far, min(cap, fq), min(cap, cq), beta, px, y_q, x_q, x_last, cap
+                    )
+                    if found is not None and _precedes((found[0], c), best):
+                        num, g, q = found
+                        best = (num, c, g, (*prefix, q))
+            bests.append(best)
+    upper, lower = bests
     if upper is None or lower is None:
         # Unreachable for a sorted witness: (head, -1, 0, ...) is always
         # admissible for the upper case and (-1, 0, ...) for the lower.

@@ -256,7 +256,7 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
     io.write_json(big, {"n": 6, "d": 2, "y": [str(v) for v in range(1, 7)]})
     code, err = run("compress", str(big), str(result_path), "--budget", "1000")
     assert code == 4
-    assert json.loads(err)["error"]["required"] == "65537"
+    assert json.loads(err)["error"]["required"] == "32768"
 
     assert run("verify", str(inst), str(bad_x), "--mode", "matrix")[0] == 5
 
@@ -291,5 +291,5 @@ def test_criterion_9_new_frontier(tmp_path, capsys):
         io.write_json(path, {"n": n, "d": d, "y": [str(v) for v in range(1, n + 1)]})
         code = main(["compress", str(path), str(tmp_path / "r.json")])
         error = json.loads(capsys.readouterr().err)["error"]
-        # level n-2 has 2*cap+1 = 2**32+1 prefixes
-        assert (code, error["required"]) == (4, "4294967297")
+        # level n-2 runs one search per head: cap = 2**31
+        assert (code, error["required"]) == (4, "2147483648")

@@ -86,7 +86,7 @@ class TestCompressCommand:
         assert code == 4
         error = json.loads(err)["error"]
         assert error["code"] == "budget"
-        assert error["required"] == "65537"  # level 4: 2*32768+1 prefixes
+        assert error["required"] == "32768"  # level 4: one search per head, cap 32768
 
 
 class TestVerifyCommand:
@@ -278,6 +278,36 @@ class TestExitCodesForBadInput:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            ((), "command"),
+            (("compress",), "instance, out"),
+            (("generate", "--n", "x", "--d", 1, "--m", 1, "--seed", 0), "--n"),
+            (("generate", "--n", 1, "--d", 1, "--m", 1, "--seed", -1), "--seed"),
+            (("verify", "a", "b", "--mode", "nope"), "--mode"),
+        ],
+        ids=["no-command", "no-files", "n-not-an-integer", "negative-seed", "bad-mode"],
+    )
+    def test_usage_errors_are_one_json_error(self, capsys, argv, names):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == "usage"
+        assert names in error["message"]
+
+    def test_option_errors_name_the_option_not_the_value(self, capsys):
+        huge = "-" + "9" * 6000
+        code, _, err = run_cli(capsys, "compress", "a", "b", "--budget", huge)
+        assert code == 2
+        message = json.loads(err)["error"]["message"]
+        assert "--budget" in message and "999" not in message
+
+    def test_help_prints_on_stdout(self, capsys):
+        code, out, err = run_cli(capsys, "compress", "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: conecompress compress")
 
     def test_instance_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -483,9 +513,17 @@ class TestNumbersPastTheDecimalDigitLimit:
         assert proc.returncode == 4
         error = json.loads(proc.stderr)["error"]
         assert error["code"] == "budget"
-        # level 13 needs one walk; level 12 needs 2*cap+1 = 14**2048+1 prefixes
-        assert error["required"] == str(14**2048 + 1)
-        assert len(error["required"]) == 2348
+        # level 13 needs one walk; level 12 one search per head, cap = 14**2048/2
+        assert error["required"] == str(14**2048 // 2)
+        assert len(error["required"]) == 2347
+
+    def test_generate_takes_a_huge_scale(self):
+        proc = run_module(
+            "generate", "--n", 3, "--d", 1, "--m", 2, "--seed", 0, "--scale", "1" + "0" * 5000
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        library = generate(3, 1, 2, 0, scale=10**5000)
+        assert proc.stdout == io.dumps(io.encode_instance(library))
 
 
 def test_internal_error_exit(worked_instance, tmp_path, capsys, monkeypatch):
@@ -508,7 +546,7 @@ def _valid_instance_docs():
     docs = [
         {"n": 4, "d": 1, "y": ["2", "3", "7", "29"]},
         # with a budget of 1000, verify is over it (5**5 vectors) and compress
-        # not; at n = 6 compress is over it too (65537 prefixes at level 4)
+        # not; at n = 6 compress is over it too (32768 searches at level 4)
         {"n": 5, "d": 2, "y": ["3", "14", "15", "92", "65"]},
         {"n": 6, "d": 2, "y": ["1", "2", "3", "4", "5", "6"]},
     ]
@@ -616,3 +654,70 @@ class TestCliContractProperty:
             assert command == "verify"
             assert error["error"]["code"] == "verification"
             assert not all(v["ok"] for v in json.loads(out.getvalue())["verdicts"].values())
+
+
+HUGE_VALUES = st.sampled_from(["1" + "0" * 5000, "-" + "9" * 5000, str(2**64), str(2**64 - 1)])
+SMALL_VALUES = st.integers(-2, 6).map(str) | st.sampled_from(["", "x", "1.5", "0x10"])
+# --n and --m stay small: generate's work grows with them
+OPTION_VALUES = {
+    "--n": SMALL_VALUES,
+    "--m": SMALL_VALUES,
+    "--d": SMALL_VALUES | HUGE_VALUES,
+    "--seed": SMALL_VALUES | HUGE_VALUES,
+    "--scale": SMALL_VALUES | HUGE_VALUES,
+    "--max-entry": SMALL_VALUES | HUGE_VALUES,
+    "--budget": SMALL_VALUES | HUGE_VALUES,
+    "--mode": st.sampled_from(["lambda", "matrix", "bound", "all", "none"]),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A command line from the CLI's own words, with paths as placeholders.
+
+    Free tokens hold no digit and no "o", so that no abbreviation of
+    --out and no stray number reaches an option.
+    """
+    command = draw(st.sampled_from(["compress", "verify", "generate", "bound", "trace", "x"]))
+    option = st.sampled_from(sorted(OPTION_VALUES)).flatmap(
+        lambda name: OPTION_VALUES[name].map(lambda value: [name, value])
+    )
+    token = st.one_of(
+        st.sampled_from(["INSTANCE", "RESULT", "MISSING", "OUT"]).map(lambda t: [t]),
+        option,
+        option.map(lambda pair: pair[:1]),
+        st.sampled_from(["--out", "-h", "--help", "--", "-"]).map(lambda t: [t]),
+        st.text(alphabet="xyz-=", max_size=4).map(lambda t: [t]),
+    )
+    tokens = draw(st.lists(token, max_size=7))
+    if draw(st.booleans()):
+        tokens.insert(0, ["--out", "OUT"])
+    return [command, *(t for pair in tokens for t in pair)]
+
+
+class TestCliArgvProperty:
+    """Any command line: a code from the exit-code table, and stderr either
+    empty or one JSON error."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=argvs())
+    def test_random_command_lines(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {
+                "INSTANCE": Path(tmp) / "instance.json",
+                "RESULT": Path(tmp) / "result.json",
+                "MISSING": Path(tmp) / "missing.json",
+                "OUT": Path(tmp) / "out.json",
+            }
+            instance = generate(n=4, d=1, m=3, seed=11, max_entry=20)
+            io.write_json(paths["INSTANCE"], io.encode_instance(instance))
+            io.write_json(paths["RESULT"], io.encode_result(compress(instance.public)))
+            argv = [str(paths.get(a, a)) for a in argv]
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2, 3, 4, 5, 6)
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert list(json.loads(err.getvalue())) == ["error"]

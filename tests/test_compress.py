@@ -98,12 +98,12 @@ class TestTightestBounds:
         # the widest level has one (empty) prefix, so it needs one walk
         tightest_upper(3, W4, PartialSolution(4, (1,)), 8, budget=1)
         with pytest.raises(BudgetExceededError) as info:
-            tightest_upper(2, W4, PartialSolution(3, (1, 4)), 8, budget=16)
-        assert info.value.required == 17  # 2*8+1 prefixes
+            tightest_upper(2, W4, PartialSolution(3, (1, 4)), 8, budget=7)
+        assert info.value.required == 8  # one search per head
         w = witness(1, 2, 3, 4)
         with pytest.raises(BudgetExceededError) as info:
-            tightest_upper(1, w, PartialSolution(2, (1, 2, 3)), 1, budget=8)
-        assert info.value.required == 9  # (2*1+1)**2 prefixes
+            tightest_upper(1, w, PartialSolution(2, (1, 2, 3)), 1, budget=2)
+        assert info.value.required == 3  # 1 head times 2*1+1 earlier prefixes
 
     def test_rejects_misaligned_tail(self):
         with pytest.raises(ValueError):
@@ -198,6 +198,21 @@ class TestKernel:
         assert up.denominator + lo.denominator > cap
 
 
+def count_searches(monkeypatch):
+    """Record every _best_head and _best_last call of compress._bounds."""
+    module = importlib.import_module("conecompress.compress")
+    calls = []
+    for name in ("_best_head", "_best_last"):
+        search = getattr(module, name)
+
+        def counted(*args, _search=search, _name=name):
+            calls.append(_name)
+            return _search(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return module, calls
+
+
 class TestPlan:
     """A level's work is what compress._scan_items plans for it."""
 
@@ -206,23 +221,88 @@ class TestPlan:
         "y", [(0, 5, 7, 9), (3, 5, 7, 9), (9, 9, 9, 9)], ids=["zero-head", "distinct", "equal"]
     )
     def test_two_head_searches_per_planned_prefix(self, monkeypatch, width, y):
-        module = importlib.import_module("conecompress.compress")
-        calls = []
-        best_head = module._best_head
-
-        def counted(*args):
-            calls.append(args)
-            return best_head(*args)
-
-        monkeypatch.setattr(module, "_best_head", counted)
+        # one head walk per direction at the widest level, else one
+        # _best_last per direction, head and earlier prefix
+        module, calls = count_searches(monkeypatch)
         cap = 3
         w = witness(y[0], *y[-width:])
         module._bounds(1, w, PartialSolution(2, (1, 2, 4)[-width:]), cap, 10**6)
-        assert len(calls) == 2 * module._scan_items(cap, 1, width) == 2 * 7 ** (width - 1)
+        planned = module._scan_items(cap, 1, width)
+        assert planned == (1, 3, 3 * 7)[width - 1]
+        assert len(calls) == 2 * planned
+        assert set(calls) == {"_best_head" if width == 1 else "_best_last"}
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            ProblemInput(4, 1, (2, 3, 7, 29)),
+            ProblemInput(5, 1, (3, 5, 8, 13, 21)),
+            ProblemInput(4, 2, (1, 4, 6, 9)),
+            generate(5, 1, 10, 1, scale=1, max_entry=10**12).public,
+            ProblemInput(4, 1, (0, 0, 0, 5)),
+            ProblemInput(4, 2, (7, 7, 7, 7)),
+        ],
+        ids=["n4-d1", "n5-d1", "n4-d2", "hard-regime", "zero-last-prefix", "equal"],
+    )
+    def test_whole_run_equals_the_plan(self, monkeypatch, problem):
+        module, calls = count_searches(monkeypatch)
+        out = compress(problem)
+        n, d = problem.n, problem.d
+        assert len(out.trace) == n - 1
+        assert len(calls) == sum(
+            2 * module._scan_items(d, level, n - level) for level in range(1, n)
+        )
+
+
+def brute_last(beta, px, y_q, y_last, x_q, x_last, cap):
+    """(num, G, q) of the smallest q in [-cap, cap] minimizing the
+    numerator over the feasible q, or None: a scan of _best_last's problem."""
+    best = None
+    for q in range(-cap, cap + 1):
+        g = max(-cap, -(-(y_q * q + beta) // y_last))
+        if g <= cap and (best is None or x_last * g - x_q * q - px < best[0]):
+            best = (x_last * g - x_q * q - px, g, q)
+    return best
+
+
+class TestBestLast:
+    def test_exhaustive_against_a_scan_of_the_last_coordinate(self):
+        best_last = importlib.import_module("conecompress.compress")._best_last
+        seen = dict.fromkeys(("none-feasible", "all-clamped", "some-clamped", "tie"), 0)
+        for cap, y_last, x_last in product((1, 2, 3, 4), (1, 2, 5), (1, 3)):
+            for y_q, x_q in product(sorted({0, 1, y_last - 1, y_last}), range(x_last + 1)):
+                chain = [(*divmod(y_q, y_last), y_last)]
+                far_d = 4 * cap * cap * (x_last + x_q) + 1  # D of the docstring
+                far = (-far_d * x_last, (cap + 1) * x_last - x_q * far_d)
+                reach = cap * (y_last + y_q) + 2
+                for beta, px in product(range(-reach, reach + 1), (0, 5)):
+                    qs = range(-cap, cap + 1)
+                    feasible = [q for q in qs if y_q * q + beta <= cap * y_last]
+                    clamped = [q for q in qs if y_q * q + beta <= -cap * y_last]
+                    hi = max(feasible, default=-cap - 1)
+                    clamped_hi = max(clamped, default=-cap - 1)
+                    got = best_last(
+                        chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap
+                    )
+                    want = brute_last(beta, px, y_q, y_last, x_q, x_last, cap)
+                    assert got == want, (cap, y_last, x_last, y_q, x_q, beta, px)
+                    if want is None:
+                        seen["none-feasible"] += 1
+                        continue
+                    if len(clamped) == len(qs):
+                        seen["all-clamped"] += 1
+                    elif clamped:
+                        seen["some-clamped"] += 1
+                    nums = [
+                        x_last * max(-cap, -(-(y_q * q + beta) // y_last)) - x_q * q - px
+                        for q in feasible
+                    ]
+                    seen["tie"] += nums.count(want[0]) > 1
+        assert all(seen.values()), seen
 
 
 class TestEuclidChain:
-    """compress._walk shares one Euclid chain per level and direction."""
+    """compress._walk shares one Euclid chain per level below the widest."""
 
     @pytest.mark.parametrize(
         "y",
@@ -244,7 +324,7 @@ class TestEuclidChain:
         compress(ProblemInput(len(y), 2, y))
         assert chains
         for chain in chains:
-            if chain[0][1] == 0:  # y_j == 0 or y_j == y_last
+            if chain[0][1] == 0:  # y_q == 0 or y_q == y_last
                 assert len(chain) == 1
 
     def test_chain_is_shared_and_grows_lazily(self, monkeypatch):
@@ -256,17 +336,18 @@ class TestEuclidChain:
             return walk(qx, qy, den, chain, b, n)
 
         monkeypatch.setattr(module, "_walk", recorded)
-        # a = 13, y_last = 21: consecutive Fibonacci numbers, the longest chain
-        module._bounds(1, witness(13, 20, 21), PartialSolution(2, (2, 3)), 50, 10**6)
+        # y_q = 13, y_last = 21: consecutive Fibonacci numbers, the longest chain
+        module._bounds(1, witness(5, 13, 21), PartialSolution(2, (2, 3)), 50, 10**6)
         chains = {id(chain): chain for chain, _ in seen}
-        assert len(chains) == 2  # one per direction
+        assert len(chains) == 1  # both directions and every head
         assert all(before <= len(chain) for chain, before in seen)
-        assert max(map(len, chains.values())) > 2
-        for chain in chains.values():
-            a, m = chain[0][0] * chain[0][2] + chain[0][1], chain[0][2]
-            for k, r, divisor in chain:
-                assert (k, r, divisor) == (*divmod(a, m), m)
-                a, m = m, r
+        (chain,) = chains.values()
+        assert len(chain) > 2
+        a, m = chain[0][0] * chain[0][2] + chain[0][1], chain[0][2]
+        assert (a, m) == (13, 21)
+        for k, r, divisor in chain:
+            assert (k, r, divisor) == (*divmod(a, m), m)
+            a, m = m, r
 
 
 def trace_digest(out):
@@ -435,10 +516,10 @@ class TestCompress:
                 assert level_membership(rec.partial_after, w, d).ok
 
     def test_budget_error_propagates(self):
-        # level 4: cap 32768, one tail prefix coordinate
+        # level 4: cap 32768, one search per head
         with pytest.raises(BudgetExceededError) as info:
             compress(ProblemInput(6, 2, (1, 2, 3, 4, 5, 6)), budget=1000)
-        assert info.value.required == 65537
+        assert info.value.required == 32768
 
     def test_astronomical_budget_requirement_reported_as_unknown(self):
         with pytest.raises(BudgetExceededError) as info:
@@ -446,15 +527,15 @@ class TestCompress:
         assert info.value.required is None
 
     def test_over_budget_level_rejected_before_any_level_runs(self, monkeypatch):
-        # level 5 (one prefix) fits, level 4 (2*839808+1 prefixes) does not
+        # level 5 (one walk) fits, level 4 (one search per head, 839808) does not
         def no_step(*args, **kwargs):
             raise AssertionError("a level ran before the budget check")
 
         module = importlib.import_module("conecompress.compress")
         monkeypatch.setattr(module, "step", no_step)
         with pytest.raises(BudgetExceededError) as info:
-            compress(ProblemInput(6, 3, (3, 5, 7, 11, 13, 17)), budget=10**6)
-        assert info.value.required == 1679617 == 2 * coefficient_cap(3, 4) + 1
+            compress(ProblemInput(6, 3, (3, 5, 7, 11, 13, 17)), budget=10**5)
+        assert info.value.required == 839808 == coefficient_cap(3, 4)
 
     def test_step_rejects_huge_level_without_materializing(self):
         w = validate(ProblemInput(101, 1, tuple(range(1, 102))))
