@@ -42,10 +42,27 @@ def _int_field(obj: dict, key: str, where: str) -> int:
     return v
 
 
+_JSON_TYPES = {
+    type(None): "null",
+    bool: "boolean",
+    int: "number",
+    float: "number",
+    str: "string",
+    list: "array",
+    dict: "object",
+}
+
+
 def _str_int(v: object, where: str) -> int:
-    if not isinstance(v, str) or not _DECIMAL.fullmatch(v):
-        raise FormatError(f"{where}: expected a decimal string, got {v!r}")
-    return int(v)
+    # Messages name the field and the JSON type, never the value: a value
+    # can be a number or string of any length.
+    if isinstance(v, str) and _DECIMAL.fullmatch(v):
+        return int(v)
+    if isinstance(v, str):
+        got = "another string"
+    else:
+        got = "a JSON " + _JSON_TYPES.get(type(v), "value")
+    raise FormatError(f"{where}: expected a decimal string, got {got}")
 
 
 def _str_list(obj: dict, key: str, where: str) -> list[int]:
@@ -149,7 +166,7 @@ def _decode_fraction(obj: object, where: str) -> Fraction:
     if den < 1:
         raise FormatError(f"{where}: denominator must be positive")
     if gcd(abs(num), den) != 1:
-        raise FormatError(f"{where}: fraction {num}/{den} is not reduced")
+        raise FormatError(f"{where}: fraction is not reduced")
     return Fraction(num, den)
 
 
@@ -171,7 +188,7 @@ def decode_result(data: object) -> CompressOutput:
         raise FormatError("result document must be a JSON object")
     version = _int_field(data, "trace_version", "result")
     if version != TRACE_VERSION:
-        raise FormatError(f"result: unsupported trace_version {version}")
+        raise FormatError(f"result: trace_version must be {TRACE_VERSION}")
     x = tuple(_str_list(data, "x", "result"))
     perm_raw = data.get("perm")
     if not isinstance(perm_raw, list) or not all(
@@ -198,7 +215,7 @@ def decode_result(data: object) -> CompressOutput:
             raise FormatError(f"{where}: expected an object")
         level = _int_field(raw, "level", where)
         if level != n - 1 - idx:
-            raise FormatError(f"{where}: levels must descend n-1..1, got {level}")
+            raise FormatError(f"{where}: level must be {n - 1 - idx}")
         cap = _str_int(raw.get("cap"), f"{where}.cap")
         width = n - level + 1
         upper = _decode_bound_result(raw.get("upper"), level, width, cap, f"{where}.upper")
@@ -206,8 +223,7 @@ def decode_result(data: object) -> CompressOutput:
         scale = _str_int(raw.get("scale"), f"{where}.scale")
         if scale != upper.value.denominator:
             raise FormatError(
-                f"{where}: scale {scale} does not match "
-                f"the chosen denominator {upper.value.denominator}"
+                f"{where}: scale does not match the upper bound's denominator"
             )
         partial_x = tuple(_str_list(raw, "partial", where))
         try:

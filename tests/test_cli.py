@@ -330,6 +330,50 @@ class TestExitCodesForBadInput:
         assert "cannot write" in json.loads(err)["error"]["message"]
 
 
+class TestErrorsDoNotEchoTheInput:
+    """A format error names the field and its JSON type, never the value,
+    so a huge number or string in a file still makes a short message."""
+
+    HUGE = "9" * 6000
+
+    @pytest.mark.parametrize(
+        "entry",
+        [HUGE, '"%s"' % ("x" * 200000), '"%sx"' % HUGE, "[%s]" % HUGE],
+        ids=["native-number", "long-string", "long-non-decimal-string", "array"],
+    )
+    def test_instance_entry(self, tmp_path, capsys, entry):
+        path = tmp_path / "instance.json"
+        path.write_text('{"n": 1, "d": 1, "y": [%s]}' % entry)
+        code, out, err = run_cli(capsys, "compress", path, tmp_path / "r.json")
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 1000
+        assert "instance.y[0]" in json.loads(err)["error"]["message"]
+
+    def test_x_file_entry(self, worked_instance, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        path.write_text('{"x": [%s, "1", "2", "8"]}' % self.HUGE)
+        code, out, err = run_cli(capsys, "verify", worked_instance, path)
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 1000
+        assert json.loads(err)["error"]["code"] == "parse"
+
+    @pytest.mark.parametrize("field", ["trace_version", "bound", "level", "scale"])
+    def test_result_fields(self, field):
+        doc = json.loads(io.dumps(io.encode_result(compress(ProblemInput(4, 1, (2, 3, 7, 29))))))
+        zeros = "0" * 6000
+        if field == "trace_version":
+            doc["trace_version"] = 10**6000
+        elif field == "bound":  # not reduced
+            doc["bound"] = {"num": "6" + zeros, "den": "4" + zeros}
+        elif field == "level":
+            doc["steps"][0]["level"] = 10**6000
+        else:  # does not match the upper bound's denominator
+            doc["steps"][0]["scale"] = self.HUGE
+        with pytest.raises(FormatError) as info:
+            io.decode_result(doc)
+        assert len(str(info.value)) < 1000
+
+
 class TestFileRoundTrips:
     def test_instance_round_trip_examples(self):
         rng = Random(6)

@@ -1,7 +1,9 @@
+import tracemalloc
 from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conecompress import (
     ProblemInput,
@@ -15,6 +17,7 @@ from conecompress import (
     validate,
 )
 from conecompress.compress import PartialSolution
+from conecompress.model import Constraint
 from conecompress.errors import BudgetExceededError, ValidationError
 
 from oracle import dot, naive_membership
@@ -137,6 +140,95 @@ class TestLevelMembership:
         with pytest.raises(BudgetExceededError) as info:
             level_membership(PartialSolution(29, (1, 1)), w, 1)
         assert info.value.required is None
+
+
+@st.composite
+def witnesses(draw, n):
+    """n entries: small ones with zeros and repeats, or 1000-digit ones."""
+    huge = st.integers(0, 10**1000)
+    pool = draw(st.lists(huge, min_size=1, max_size=2))
+    entries = draw(
+        st.sampled_from(
+            [st.integers(0, 3), huge, st.sampled_from([0, *pool]), st.sampled_from(pool)]
+        )
+    )
+    return tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+
+
+@st.composite
+def candidates(draw, y):
+    """x near a multiple of y, which makes c.y = 0 and c.x = 0 ties common,
+    or x with entries of either sign."""
+    if draw(st.booleans()):
+        k = draw(st.integers(-2, 3))
+        return tuple(k * v + draw(st.sampled_from((-1, 0, 0, 1))) for v in y)
+    entries = draw(st.sampled_from([st.integers(-3, 3), st.integers(-(10**1000), 10**1000)]))
+    return tuple(draw(st.lists(entries, min_size=len(y), max_size=len(y))))
+
+
+@st.composite
+def membership_cases(draw):
+    """(x, y, d) for n = 1..7 and d = 1..3, at most 20000 coefficient vectors
+    so that the oracle's full scan stays quick."""
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(1, max(d for d in (1, 2, 3) if (2 * d + 1) ** n <= 20000)))
+    y = draw(witnesses(n))
+    return draw(candidates(y)), y, d
+
+
+@st.composite
+def level_membership_cases(draw):
+    """(partial, witness) at level 2 (cap 2 at d = 1) or level 3 (cap 8)."""
+    level = draw(st.sampled_from((2, 3)))
+    width = draw(st.integers(2, 5 if level == 2 else 3))
+    n = level + width - 1
+    y = draw(witnesses(n).filter(any))
+    witness = validate(ProblemInput(n, 1, y))
+    x = sorted(max(v, 0) for v in draw(candidates(witness.y[level - 1 :])))
+    x[-1] = max(x[-1], 1)
+    return PartialSolution(level, tuple(x)), witness
+
+
+class TestAgainstTheFullScan:
+    """The split search returns the full scan's verdict and certificate."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(membership_cases())
+    def test_cone_membership(self, case):
+        x, y, d = case
+        verdict = cone_membership(x, y, d)
+        want = naive_membership(x, y, d)
+        assert verdict.ok == (want is None)
+        if want is not None:
+            assert verdict.certificate == Constraint(1, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(level_membership_cases())
+    def test_level_membership(self, case):
+        p, witness = case
+        verdict = level_membership(p, witness, 1)
+        cap = coefficient_cap(1, p.level)
+        want = naive_membership(p.x, witness.y[p.level - 1 :], cap)
+        assert verdict.ok == (want is None)
+        if want is not None:
+            assert verdict.certificate == Constraint(p.level, want)
+
+    def test_only_the_smaller_half_is_stored(self):
+        # At n = 3, d = 100 the full scan held one 201-entry box. The split
+        # stores the 201 one-coordinate tails; storing the two-coordinate
+        # half would take 201**2 = 40401 entries, hundreds of times more.
+        y = (3, 7, 11)
+        tracemalloc.start()
+        try:
+            box = tuple(range(-100, 101))
+            box_peak = tracemalloc.get_traced_memory()[1]
+            del box
+            tracemalloc.reset_peak()
+            assert cone_membership(y, y, 100).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * box_peak
 
 
 class TestMatrixCheck:
