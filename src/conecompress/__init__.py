@@ -15,6 +15,7 @@ from .compress import (
     DEFAULT_COMPRESS_BUDGET,
     StepRecord,
     compress,
+    plan,
     step,
     tightest_lower,
     tightest_upper,
@@ -44,7 +45,6 @@ from .verify import (
     Verdict,
     bound_check,
     cone_membership,
-    level_membership,
     matrix_check,
 )
 
@@ -77,8 +77,8 @@ __all__ = [
     "cone_membership",
     "end_to_end",
     "generate",
-    "level_membership",
     "matrix_check",
+    "plan",
     "step",
     "tightest_lower",
     "tightest_upper",

@@ -156,9 +156,10 @@ def cmd_bound(args: argparse.Namespace) -> int:
     width = (2 * d).bit_length()
     too_long = n - 1 >= _BOUND_PRINT_BITS.bit_length()  # keeps the shift below small
     if too_long or ((1 << (n - 1)) - 1) * width > _BOUND_PRINT_BITS:
+        # names the options, never their values: --n may have thousands of digits
         raise ValidationError(
-            f"the bound for n={n}, d={d} has about (2**{n - 1} - 1) * {width} "
-            f"bits, more than the {_BOUND_PRINT_BITS} this command prints"
+            "the bound for this --n and --d has an estimated length past "
+            f"2**{_BOUND_PRINT_BITS.bit_length() - 1} bits, the most this command prints"
         )
     value = bound_value(n, d)
     if value.denominator == 1:

@@ -20,13 +20,16 @@ the least slope from a fixed point, found by a Euclid-style walk in
 O(log cap) steps however long the witness entries are; the lower bound is
 the same problem with the head entry negated. The widest level j = n-1
 has no other tail coefficient and walks its heads, one walk per bound:
-its cap, 2**31 at n = 7 and d = 1, is far too large to enumerate. Every other level enumerates the
-heads c in [1, cap] and the earlier prefixes (c_{j+1}, ..., c_{n-2}) and
-walks the last prefix coordinate c_{n-1} in [-cap, cap]: a head has half
-the range of a prefix coordinate, so this is cap*(2*cap+1)**(n-j-2)
-searches of at most one walk each per bound, about half of walking the
-heads for each of the (2*cap+1)**(n-j-1) prefixes. Each level's count is checked against a
-budget before the first level runs.
+its cap, 2**31 at n = 7 and d = 1, is far too large to enumerate. Every
+other level enumerates the heads c in [1, cap] and the earlier prefixes
+(c_{j+1}, ..., c_{n-2}) and walks the last prefix coordinate c_{n-1} in
+[-cap, cap]: a head has half the range of a prefix coordinate, so this
+is cap*(2*cap+1)**(n-j-2) searches of at most one walk each per bound,
+about half of walking the heads for each of the (2*cap+1)**(n-j-1)
+prefixes. Each level's cap and count depend on (n, d) alone: plan gives
+them, compress checks every count against a budget before the first
+level runs, and step and the bound searches run a level without checking
+again.
 
 What does not depend on the item is computed once per level: the Euclid
 chain of (y_{n-1}, y_n), which every walk of the level reads in both
@@ -260,21 +263,6 @@ def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap):
     return best
 
 
-def _scan_items(d: int, level: int, width: int) -> int | None:
-    """Searches one bound runs at a level with ``width`` tail coordinates.
-
-    The widest level (width 1) runs one head walk. Every other level runs
-    one search per head c in [1, cap] and earlier prefix in
-    [-cap, cap]**(width-2): cap*(2*cap+1)**(width-2). None when the cap
-    is too large to build (see scan_size).
-    """
-    size = scan_size(d, level, max(width - 1, 1))
-    if size is None or width == 1:
-        return None if size is None else 1
-    cap = coefficient_cap(d, level)
-    return cap * size // (2 * cap + 1)
-
-
 def _prefixes(cap: int, y_mid, x_mid):
     """Each prefix in [-cap, cap]**len(y_mid), lexicographically, with its dot
     products with y_mid and x_mid.
@@ -300,7 +288,7 @@ def _prefixes(cap: int, y_mid, x_mid):
         px += x_mid[i]
 
 
-def _bounds(level, witness, tail, cap, budget) -> tuple[BoundResult, BoundResult]:
+def _bounds(level, witness, tail, cap) -> tuple[BoundResult, BoundResult]:
     """(upper, lower): one head walk per direction at the widest level, else
     one _best_last per direction and item.
 
@@ -319,7 +307,6 @@ def _bounds(level, witness, tail, cap, budget) -> tuple[BoundResult, BoundResult
         raise ValueError("tail and witness dimensions differ")
     if not 1 <= level <= witness.n - 1:
         raise ValueError("level is outside 1..n-1 for the witness")
-    check_budget(_scan_items(cap, 1, tail.n - level), budget, f"bound at level {level}")
     a = witness.y[level - 1]
     y_last, x_last = witness.y[-1], tail.x[-1]
     if level == witness.n - 1:
@@ -370,11 +357,7 @@ def _bounds(level, witness, tail, cap, budget) -> tuple[BoundResult, BoundResult
 
 
 def tightest_upper(
-    level: int,
-    witness: SortedWitness,
-    tail: PartialSolution,
-    cap: int,
-    budget: int = DEFAULT_COMPRESS_BUDGET,
+    level: int, witness: SortedWitness, tail: PartialSolution, cap: int
 ) -> BoundResult:
     """Minimum upper bound on x(level) over all admissible constraints.
 
@@ -383,38 +366,51 @@ def tightest_upper(
     broken by the smallest head, then the lexicographically smallest tail
     coefficients; tie-breaks affect only the reported constraint.
     """
-    return _bounds(level, witness, tail, cap, budget)[0]
+    return _bounds(level, witness, tail, cap)[0]
 
 
 def tightest_lower(
-    level: int,
-    witness: SortedWitness,
-    tail: PartialSolution,
-    cap: int,
-    budget: int = DEFAULT_COMPRESS_BUDGET,
+    level: int, witness: SortedWitness, tail: PartialSolution, cap: int
 ) -> BoundResult:
     """Maximum lower bound on x(level); never negative (all-zero tail)."""
-    return _bounds(level, witness, tail, cap, budget)[1]
+    return _bounds(level, witness, tail, cap)[1]
+
+
+def plan(n: int, d: int) -> tuple[tuple[int, int | None, int | None], ...]:
+    """(level, cap, searches per bound) for each level, n-1 down to 1.
+
+    The construction depends on (n, d) alone, so this is known before any
+    work starts. The widest level runs one head walk per bound. Every
+    other level, of width w = n - level, runs one search per head c in
+    [1, cap] and earlier prefix in [-cap, cap]**(w-2):
+    cap*(2*cap+1)**(w-2). cap and searches are None for a level whose
+    count passes 2**16384 (see scan_size); its cap is never built, and no
+    budget admits it.
+    """
+    levels = []
+    for level in range(n - 1, 0, -1):
+        width = n - level
+        size = scan_size(d, level, max(width - 1, 1))
+        if size is None:
+            levels.append((level, None, None))
+            continue
+        cap = coefficient_cap(d, level)
+        levels.append((level, cap, 1 if width == 1 else cap * size // (2 * cap + 1)))
+    return tuple(levels)
 
 
 def step(
-    level: int,
-    d: int,
-    witness: SortedWitness,
-    tail: PartialSolution,
-    budget: int = DEFAULT_COMPRESS_BUDGET,
+    level: int, cap: int, witness: SortedWitness, tail: PartialSolution
 ) -> StepRecord:
     """Fix x(level): take the tightest upper bound and rescale to integers.
 
-    The reduced denominator of the chosen fraction divides the achieving
-    head coefficient, so the rescale factor never exceeds the level cap.
-    A tightest lower bound above the tightest upper bound is impossible
-    and reported as an internal inconsistency.
+    cap is the level's coefficient cap, as plan gives it; step runs no
+    budget check of its own. The reduced denominator of the chosen
+    fraction divides the achieving head coefficient, so the rescale factor
+    never exceeds the cap. A tightest lower bound above the tightest upper
+    bound is impossible and reported as an internal inconsistency.
     """
-    width = tail.n - level
-    check_budget(_scan_items(d, level, width), budget, f"level {level}")
-    cap = coefficient_cap(d, level)
-    upper, lower = _bounds(level, witness, tail, cap, budget)
+    upper, lower = _bounds(level, witness, tail, cap)
     if lower.value > upper.value:
         raise InternalInconsistencyError(
             f"level {level}: tightest lower bound {lower.value} exceeds "
@@ -453,17 +449,18 @@ def compress(
     Deterministic: the same input always yields the same output and trace.
     Scaling the witness by a positive integer leaves the result unchanged,
     because scaling does not change which constraints the witness
-    satisfies. Every level's scan is checked against the budget before
-    the first one runs.
+    satisfies. Every level of the plan is checked against the budget
+    before the first one runs.
     """
     witness = validate(problem)
     n, d = problem.n, problem.d
-    for level in range(n - 1, 0, -1):
-        check_budget(_scan_items(d, level, n - level), budget, f"level {level}")
+    levels = plan(n, d)
+    for level, _, searches in levels:
+        check_budget(searches, budget, f"level {level}")
     partial = PartialSolution(level=n, x=(1,))
     trace = []
-    for level in range(n - 1, 0, -1):
-        record = step(level, d, witness, partial, budget)
+    for level, cap, _ in levels:
+        record = step(level, cap, witness, partial)
         trace.append(record)
         partial = record.partial_after
     x = unsort(partial.x, witness.perm)

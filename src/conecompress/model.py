@@ -125,11 +125,12 @@ def coefficient_cap(d: int, level: int) -> int:
 def scan_size(d: int, level: int, width: int) -> int | None:
     """(2*coefficient_cap(d, level)+1)**width, or None past 2**16384.
 
-    The number of coefficient vectors of this width within the level's cap.
-    The cap's bit length is exponential in level, so a lower estimate of
-    the size's bit length, width * (bit_length(2d)-1) * 2**(level-1), rules
-    out huge sizes before anything is built. coefficient_cap(c, 1) is c, so
-    scan_size(c, 1, width) sizes a scan at a known cap c.
+    The number of coefficient vectors of this width within the level's cap:
+    compress.plan derives each level's search count from it, and
+    verify.cone_membership's budget counts its level-1 vectors. The cap's
+    bit length is exponential in level, so a lower estimate of the size's
+    bit length, width * (bit_length(2d)-1) * 2**(level-1), rules out huge
+    sizes before anything is built.
     """
     if d < 1 or level < 1 or width < 1:
         raise ValueError("scan_size requires d, level and width >= 1")

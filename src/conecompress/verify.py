@@ -1,13 +1,12 @@
 """Independent exact oracles for membership, bounds and known matrices.
 
 These checks deliberately share no bound logic with the compressor. The
-membership checks decide over the full constraint set of the implicit
-cone and report its lexicographically first violated constraint as a
-certificate. They find it by a meet-in-the-middle search over the
-coefficient vectors instead of visiting each one, and return what a full
+membership check decides over the full constraint set of the implicit
+cone and reports its lexicographically first violated constraint as a
+certificate. It finds it by a meet-in-the-middle search over the
+coefficient vectors instead of visiting each one, and returns what a full
 scan would. A partial search is never a verdict, so a constraint set whose
-size, (2cap+1)**width vectors, exceeds the budget raises instead of
-sampling.
+size, (2d+1)**n vectors, exceeds the budget raises instead of sampling.
 """
 
 from __future__ import annotations
@@ -19,15 +18,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import ValidationError
-from .model import (
-    Constraint,
-    PartialSolution,
-    SortedWitness,
-    bound_value,
-    check_budget,
-    coefficient_cap,
-    scan_size,
-)
+from .model import Constraint, bound_value, check_budget, scan_size
 
 DEFAULT_VERIFY_BUDGET = 10**7
 
@@ -56,7 +47,7 @@ def _half(y: Sequence[int], x: Sequence[int], cap: int) -> tuple[list[int], list
     return cy, cx
 
 
-def _scan(level: int, cap: int, y: Sequence[int], x: Sequence[int]) -> Verdict:
+def _scan(cap: int, y: Sequence[int], x: Sequence[int]) -> Verdict:
     """The lexicographically first c in [-cap, cap]**len(y) with c.y <= 0 < c.x.
 
     An exact meet-in-the-middle (Horowitz and Sahni, J. ACM 1974): c is a
@@ -89,7 +80,7 @@ def _scan(level: int, cap: int, y: Sequence[int], x: Sequence[int]) -> Verdict:
                     for t, ty, tx in zip(product(coeffs, repeat=w - h), tail_y, tail_x)
                     if ty <= hy and tx + hx > 0
                 )
-                certificate = Constraint(level, (*prefix, c, *tail))
+                certificate = Constraint(1, (*prefix, c, *tail))
                 return Verdict(ok=False, certificate=certificate)
             hy -= y_last
             hx += x_last
@@ -110,34 +101,16 @@ def cone_membership(
     budget still bounds the (2d+1)**n vectors decided over. Membership
     here is sufficient for membership in the unknown cone, whose defining
     rows are all among those vectors. x and the witness must share one
-    coordinate order.
+    coordinate order. A partial solution p of compress's level j lies in
+    that level's cone when cone_membership(p.x, y[j-1:], cap_j) holds,
+    with y the sorted witness and cap_j the level's cap.
     """
     if len(x) != len(witness):
         raise ValidationError(
             f"vector has {len(x)} entries, witness has {len(witness)}"
         )
     check_budget(scan_size(d, 1, len(witness)), budget, "membership scan")
-    return _scan(1, d, witness, x)
-
-
-def level_membership(
-    p: PartialSolution,
-    witness: SortedWitness,
-    d: int,
-    budget: int = DEFAULT_VERIFY_BUDGET,
-) -> Verdict:
-    """Membership of a partial solution in its level's implicit cone."""
-    n = witness.n
-    if not 1 <= p.level <= n - 1:
-        raise ValidationError(f"partial solution level is outside 1..{n - 1}")
-    if p.n != n:
-        raise ValidationError(
-            f"partial solution spans {p.n} coordinates, witness has {n}"
-        )
-    width = n + 1 - p.level
-    check_budget(scan_size(d, p.level, width), budget, "level membership scan")
-    cap = coefficient_cap(d, p.level)
-    return _scan(p.level, cap, witness.y[p.level - 1 :], p.x)
+    return _scan(d, witness, x)
 
 
 def matrix_check(

@@ -18,7 +18,6 @@ from conecompress import (
     cone_membership,
     end_to_end,
     generate,
-    level_membership,
     matrix_check,
     tightest_lower,
     tightest_upper,
@@ -135,7 +134,8 @@ def test_criterion_4_inductive_invariant():
         out = output_for(n, d, scale, seed)
         w = validate(inst.public)
         for rec in out.trace:
-            assert level_membership(rec.partial_after, w, d).ok
+            tail = w.y[rec.level - 1 :]
+            assert cone_membership(rec.partial_after.x, tail, rec.cap).ok
             checked += 1
     elapsed = time.perf_counter() - start
     assert checked > 0
@@ -277,7 +277,7 @@ def test_criterion_8_cli_contract(tmp_path, capsys):
 
 @criterion(9, "new frontier: (7,1) and (6,2) certified; (8,1) and (7,2) exit 4")
 def test_criterion_9_new_frontier(tmp_path, capsys):
-    # level_membership would need 65537**3 vectors at (7,1) level 5, so the
+    # a partial's membership at (7,1) level 5 would need 65537**3 vectors, so the
     # outputs are certified by the full cone, the hidden matrix and the bound
     for n, d, vectors in ((7, 1, 2187), (6, 2, 15625)):
         inst = generate(n, d, 2 * n, 0)

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conecompress import (
+    DEFAULT_COMPRESS_BUDGET,
     ProblemInput,
     coefficient_cap,
     compress,
+    cone_membership,
     generate,
-    level_membership,
+    plan,
     step,
     tightest_lower,
     tightest_upper,
@@ -93,17 +95,6 @@ class TestTightestBounds:
             for fn in (tightest_upper, tightest_lower):
                 r = fn(level, w, tail, cap)
                 assert 1 <= r.value.denominator <= cap
-
-    def test_budget_error_carries_required_count(self):
-        # the widest level has one (empty) prefix, so it needs one walk
-        tightest_upper(3, W4, PartialSolution(4, (1,)), 8, budget=1)
-        with pytest.raises(BudgetExceededError) as info:
-            tightest_upper(2, W4, PartialSolution(3, (1, 4)), 8, budget=7)
-        assert info.value.required == 8  # one search per head
-        w = witness(1, 2, 3, 4)
-        with pytest.raises(BudgetExceededError) as info:
-            tightest_upper(1, w, PartialSolution(2, (1, 2, 3)), 1, budget=2)
-        assert info.value.required == 3  # 1 head times 2*1+1 earlier prefixes
 
     def test_rejects_misaligned_tail(self):
         with pytest.raises(ValueError):
@@ -190,8 +181,8 @@ class TestKernel:
         cap = 2**4096
         a, y_last = 10**2000 + 7, 3 * 10**2000 + 1
         w, tail = witness(a, y_last), PartialSolution(2, (1,))
-        up = tightest_upper(1, w, tail, cap, budget=1).value
-        lo = tightest_lower(1, w, tail, cap, budget=1).value
+        up = tightest_upper(1, w, tail, cap).value
+        lo = tightest_lower(1, w, tail, cap).value
         assert lo < Fraction(a, y_last) < up
         assert up.numerator * lo.denominator - lo.numerator * up.denominator == 1
         assert max(up.denominator, lo.denominator) <= cap
@@ -214,7 +205,13 @@ def count_searches(monkeypatch):
 
 
 class TestPlan:
-    """A level's work is what compress._scan_items plans for it."""
+    """A level's cap and work are what compress.plan gives for it."""
+
+    def test_counts_per_level(self):
+        # the widest level walks its heads once; level 2 runs one search per
+        # head; level 1 one per head (cap 1) and earlier prefix (2*1+1)
+        assert plan(4, 1) == ((3, 8, 1), (2, 2, 2), (1, 1, 3))
+        assert plan(1, 5) == ()
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -224,11 +221,10 @@ class TestPlan:
         # one head walk per direction at the widest level, else one
         # _best_last per direction, head and earlier prefix
         module, calls = count_searches(monkeypatch)
-        cap = 3
+        level, cap, planned = plan(width + 1, 3)[-1]  # level 1 has cap d
+        assert (level, cap, planned) == (1, 3, (1, 3, 3 * 7)[width - 1])
         w = witness(y[0], *y[-width:])
-        module._bounds(1, w, PartialSolution(2, (1, 2, 4)[-width:]), cap, 10**6)
-        planned = module._scan_items(cap, 1, width)
-        assert planned == (1, 3, 3 * 7)[width - 1]
+        module._bounds(1, w, PartialSolution(2, (1, 2, 4)[-width:]), cap)
         assert len(calls) == 2 * planned
         assert set(calls) == {"_best_head" if width == 1 else "_best_last"}
 
@@ -247,11 +243,47 @@ class TestPlan:
     def test_whole_run_equals_the_plan(self, monkeypatch, problem):
         module, calls = count_searches(monkeypatch)
         out = compress(problem)
-        n, d = problem.n, problem.d
-        assert len(out.trace) == n - 1
-        assert len(calls) == sum(
-            2 * module._scan_items(d, level, n - level) for level in range(1, n)
-        )
+        levels = plan(problem.n, problem.d)
+        assert [(rec.level, rec.cap) for rec in out.trace] == [
+            (level, cap) for level, cap, _ in levels
+        ]
+        assert len(calls) == sum(2 * searches for _, _, searches in levels)
+
+    @pytest.mark.parametrize("n, d", [(7, 1), (6, 2)])
+    def test_frontier(self, n, d):
+        # levels n-2 and n-3 are the largest and fit the default budget;
+        # one more coordinate takes level n-2 to cap 2**31, one search per head
+        counts = [searches for _, _, searches in plan(n, d)]
+        assert counts[1:3] == [32768, 32896] and max(counts) == 32896
+        assert max(counts) <= DEFAULT_COMPRESS_BUDGET
+        over = [c for _, _, c in plan(n + 1, d) if c > DEFAULT_COMPRESS_BUDGET]
+        assert over[0] == 2147483648
+
+    def test_huge_levels_are_not_built(self, monkeypatch):
+        module = importlib.import_module("conecompress.compress")
+        built, cap_of = [], module.coefficient_cap
+
+        def recorded(d, level):
+            built.append(level)
+            return cap_of(d, level)
+
+        monkeypatch.setattr(module, "coefficient_cap", recorded)
+        levels = plan(101, 1)
+        assert [level for level, _, _ in levels] == list(range(100, 0, -1))
+        huge = [level for level, cap, searches in levels if searches is None]
+        assert huge[0] == 100 and levels[-1] == (1, 1, 3**98)
+        assert all(cap is None for level, cap, _ in levels if level in huge)
+        assert huge == [level for level in range(100, 0, -1) if level not in built]
+
+    @pytest.mark.parametrize(
+        "n, d, budget",
+        [(6, 2, 1000), (6, 3, 10**5), (8, 1, 10**8), (7, 2, 10**8), (20, 2, 10**9), (101, 1, 10**8)],
+    )
+    def test_compress_requires_the_first_count_over_budget(self, n, d, budget):
+        first = next(s for _, _, s in plan(n, d) if s is None or s > budget)
+        with pytest.raises(BudgetExceededError) as info:
+            compress(ProblemInput(n, d, tuple(range(1, n + 1))), budget=budget)
+        assert info.value.required == first
 
 
 def brute_last(beta, px, y_q, y_last, x_q, x_last, cap):
@@ -337,7 +369,7 @@ class TestEuclidChain:
 
         monkeypatch.setattr(module, "_walk", recorded)
         # y_q = 13, y_last = 21: consecutive Fibonacci numbers, the longest chain
-        module._bounds(1, witness(5, 13, 21), PartialSolution(2, (2, 3)), 50, 10**6)
+        module._bounds(1, witness(5, 13, 21), PartialSolution(2, (2, 3)), 50)
         chains = {id(chain): chain for chain, _ in seen}
         assert len(chains) == 1  # both directions and every head
         assert all(before <= len(chain) for chain, before in seen)
@@ -384,13 +416,13 @@ class TestGoldenTraces:
 
 class TestStep:
     def test_level3(self):
-        rec = step(3, 1, W4, PartialSolution(4, (1,)))
+        rec = step(3, 8, W4, PartialSolution(4, (1,)))
         assert rec.chosen == Fraction(1, 4)
         assert rec.scale == 4
         assert rec.partial_after.x == (1, 4)
 
     def test_level2(self):
-        rec = step(2, 1, W4, PartialSolution(3, (1, 4)))
+        rec = step(2, 2, W4, PartialSolution(3, (1, 4)))
         assert rec.chosen == Fraction(1, 2)
         assert rec.scale == 2
         assert rec.partial_after.x == (1, 2, 8)
@@ -415,11 +447,11 @@ class TestStep:
         module = importlib.import_module("conecompress.compress")
         tail = PartialSolution(4, (1,))
         side = ["tightest_upper", "tightest_lower"].index(name)
-        bounds = list(module._bounds(3, W4, tail, 8, module.DEFAULT_COMPRESS_BUDGET))
+        bounds = list(module._bounds(3, W4, tail, 8))
         bounds[side] = BoundResult(value=bounds[side].value, achieving=Constraint(3, coeffs))
         monkeypatch.setattr(module, "_bounds", lambda *args: tuple(bounds))
         with pytest.raises(InternalInconsistencyError, match="not admissible"):
-            step(3, 1, W4, tail)
+            step(3, 8, W4, tail)
 
     def test_consistency_on_random_instances(self):
         rng = Random(404)
@@ -513,7 +545,8 @@ class TestCompress:
             w = validate(problem)
             out = compress(problem)
             for rec in out.trace:
-                assert level_membership(rec.partial_after, w, d).ok
+                tail = w.y[rec.level - 1 :]
+                assert cone_membership(rec.partial_after.x, tail, rec.cap).ok
 
     def test_budget_error_propagates(self):
         # level 4: cap 32768, one search per head
@@ -536,12 +569,6 @@ class TestCompress:
         with pytest.raises(BudgetExceededError) as info:
             compress(ProblemInput(6, 3, (3, 5, 7, 11, 13, 17)), budget=10**5)
         assert info.value.required == 839808 == coefficient_cap(3, 4)
-
-    def test_step_rejects_huge_level_without_materializing(self):
-        w = validate(ProblemInput(101, 1, tuple(range(1, 102))))
-        with pytest.raises(BudgetExceededError) as info:
-            step(100, 1, w, PartialSolution(101, (1,)))
-        assert info.value.required is None
 
 
 class TestPrefixes:

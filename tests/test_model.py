@@ -238,7 +238,7 @@ class TestMessagesPastTheDecimalDigitLimit:
             (lambda: PartialSolution(1, (-HUGE, 1)), "x has a negative entry"),
             (lambda: PartialSolution(1, (HUGE, 1)), "x must be non-decreasing"),
             (
-                lambda: _bounds(HUGE, SortedWitness((1, 2), (0, 1)), PartialSolution(2, (1,)), 1, 1),
+                lambda: _bounds(HUGE, SortedWitness((1, 2), (0, 1)), PartialSolution(2, (1,)), 1),
                 "tail must start at level",
             ),
         ],

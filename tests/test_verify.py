@@ -12,7 +12,6 @@ from conecompress import (
     coefficient_cap,
     cone_membership,
     generate,
-    level_membership,
     matrix_check,
     validate,
 )
@@ -72,19 +71,22 @@ class TestConeMembership:
 
 
 class TestLevelMembership:
+    """A partial solution of level j is checked in that level's cone:
+    cone_membership on the witness tail from j at the level's cap."""
+
     def test_partials_from_worked_example(self):
         w = validate(ProblemInput(4, 1, Y4))
-        assert level_membership(PartialSolution(3, (1, 4)), w, 1).ok
-        assert level_membership(PartialSolution(2, (1, 2, 8)), w, 1).ok
+        assert cone_membership((1, 4), w.y[2:], coefficient_cap(1, 3)).ok
+        assert cone_membership((1, 2, 8), w.y[1:], coefficient_cap(1, 2)).ok
 
     def test_violation(self):
         w = validate(ProblemInput(4, 1, Y4))
-        verdict = level_membership(PartialSolution(3, (1, 3)), w, 1)
+        verdict = cone_membership((1, 3), w.y[2:], coefficient_cap(1, 3))
         assert not verdict.ok
         assert verdict.certificate.coeffs == (4, -1)
-        assert verdict.certificate.level == 3
 
     def test_level_one_agrees_with_full_membership(self):
+        # level 1's cap is d, so its cone is the full cone
         rng = Random(9)
         for _ in range(20):
             n = rng.randint(2, 4)
@@ -95,8 +97,8 @@ class TestLevelMembership:
             x = tuple(sorted(rng.randint(0, 6) for _ in range(n)))
             if x[-1] == 0:
                 x = x[:-1] + (1,)
-            p = PartialSolution(1, x)
-            assert level_membership(p, w, 1).ok == cone_membership(x, w.y, 1).ok
+            verdict = cone_membership(x, w.y, coefficient_cap(1, 1))
+            assert verdict.ok == (naive_membership(x, w.y, 1) is None)
 
     def test_certificate_is_lexicographic_first_at_upper_levels(self):
         # d=1 gives cap 2 at level 2 and cap 8 at level 3.
@@ -114,32 +116,15 @@ class TestLevelMembership:
                 x = x[:-1] + (1,)
             if rng.random() < 0.3:  # the witness tail is always a member
                 x = w.y[level - 1 :]
-            p = PartialSolution(level, x)
             cap = coefficient_cap(1, level)
-            verdict = level_membership(p, w, 1)
+            verdict = cone_membership(x, w.y[level - 1 :], cap)
             want = naive_membership(x, w.y[level - 1 :], cap)
             seen[cap].add(verdict.ok)
             if want is None:
                 assert verdict.ok
             else:
                 assert verdict.certificate.coeffs == want
-                assert verdict.certificate.level == level
         assert seen == {2: {True, False}, 8: {True, False}}
-
-    def test_level_out_of_range(self):
-        w = validate(ProblemInput(2, 1, (1, 2)))
-        with pytest.raises(ValidationError, match="level is outside"):
-            level_membership(PartialSolution(2, (1,)), w, 1)
-
-    def test_budget_gate(self):
-        w = validate(ProblemInput(4, 1, Y4))
-        with pytest.raises(BudgetExceededError) as info:
-            level_membership(PartialSolution(3, (1, 4)), w, 1, budget=288)
-        assert info.value.required == 17**2  # cap 8, width 2
-        w = validate(ProblemInput(30, 1, tuple(range(1, 31))))
-        with pytest.raises(BudgetExceededError) as info:
-            level_membership(PartialSolution(29, (1, 1)), w, 1)
-        assert info.value.required is None
 
 
 @st.composite
@@ -206,12 +191,12 @@ class TestAgainstTheFullScan:
     @given(level_membership_cases())
     def test_level_membership(self, case):
         p, witness = case
-        verdict = level_membership(p, witness, 1)
         cap = coefficient_cap(1, p.level)
+        verdict = cone_membership(p.x, witness.y[p.level - 1 :], cap)
         want = naive_membership(p.x, witness.y[p.level - 1 :], cap)
         assert verdict.ok == (want is None)
         if want is not None:
-            assert verdict.certificate == Constraint(p.level, want)
+            assert verdict.certificate.coeffs == want
 
     def test_only_the_smaller_half_is_stored(self):
         # At n = 3, d = 100 the full scan held one 201-entry box. The split
