@@ -5,8 +5,9 @@ constraint coefficients, and one non-negative integral witness solution,
 :func:`compress` constructs another non-zero integral solution whose
 largest entry is at most (2d)**(2**(n-1) - 1) / 2**(n-1), along with a
 full per-level audit trace. The :mod:`conecompress.verify` module checks
-any claimed solution by exhaustive enumeration, independently of the
-construction.
+any claimed solution independently of the construction: membership in
+the witness cone by an exact split search over every coefficient vector
+in [-d, d]**n, a hidden matrix row by row, and the size bound.
 """
 
 from .compress import (
@@ -29,7 +30,7 @@ from .errors import (
     RejectionCapError,
     ValidationError,
 )
-from .generate import EndToEndReport, HiddenInstance, end_to_end, generate
+from .generate import HiddenInstance, generate
 from .model import (
     Constraint,
     PartialSolution,
@@ -58,7 +59,6 @@ __all__ = [
     "Constraint",
     "DEFAULT_COMPRESS_BUDGET",
     "DEFAULT_VERIFY_BUDGET",
-    "EndToEndReport",
     "FormatError",
     "HiddenInstance",
     "InternalInconsistencyError",
@@ -75,7 +75,6 @@ __all__ = [
     "coefficient_cap",
     "compress",
     "cone_membership",
-    "end_to_end",
     "generate",
     "matrix_check",
     "plan",

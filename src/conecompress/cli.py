@@ -20,7 +20,6 @@ from .errors import (
     ConeCompressError,
     FormatError,
     MissingHiddenSectionError,
-    RejectionCapError,
     ValidationError,
 )
 from .generate import DEFAULT_MAX_ENTRY, DEFAULT_SCALE, HiddenInstance, generate
@@ -29,12 +28,6 @@ from .verify import DEFAULT_VERIFY_BUDGET, Verdict, bound_check, cone_membership
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
-EXIT_PARSE = 2
-EXIT_VALIDATION = 3
-EXIT_BUDGET = 4
-EXIT_MISSING_HIDDEN = 5
-EXIT_REJECTION_CAP = 6
-EXIT_INTERNAL = 7
 
 # Printing a number takes time quadratic in its length. The bound for
 # n = 21, d = 1 has 315647 digits and prints in about 2 s; each further n
@@ -75,7 +68,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         _print_error("usage", f"{self.prog}: {message}")
-        self.exit(EXIT_PARSE)
+        self.exit(FormatError.exit_code)
 
 
 def _public_of(parsed: ProblemInput | HiddenInstance) -> ProblemInput:
@@ -282,25 +275,12 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if exc.code is None else int(exc.code)
         try:
             return args.handler(args)
-        except FormatError as exc:
-            _print_error("parse", str(exc))
-            return EXIT_PARSE
-        except MissingHiddenSectionError as exc:
-            _print_error("missing-hidden", str(exc))
-            return EXIT_MISSING_HIDDEN
-        except BudgetExceededError as exc:
-            required = None if exc.required is None else str(exc.required)
-            _print_error("budget", str(exc), required=required)
-            return EXIT_BUDGET
-        except RejectionCapError as exc:
-            _print_error("rejection-cap", str(exc))
-            return EXIT_REJECTION_CAP
-        except ValidationError as exc:
-            _print_error("validation", str(exc))
-            return EXIT_VALIDATION
         except ConeCompressError as exc:
-            _print_error("internal", str(exc))
-            return EXIT_INTERNAL
+            extra = {}
+            if isinstance(exc, BudgetExceededError):
+                extra["required"] = None if exc.required is None else str(exc.required)
+            _print_error(exc.code, str(exc), **extra)
+            return exc.exit_code
 
 
 def entry() -> None:

@@ -3,8 +3,9 @@
 The solver's premise is that the cone's matrix is unknown, so falsifiable
 testing needs instances where a matrix exists but is withheld: plant a
 small non-negative solution, rejection-sample rows that it satisfies,
-then hand the solver only (n, d, scale * planted). The harness keeps the
-matrix and checks the solver's output against it afterwards.
+then hand the solver only (n, d, scale * planted). The caller keeps the
+matrix and checks the solver's output against it afterwards with
+``verify.matrix_check`` (``conecompress verify --mode matrix``).
 
 Randomness comes from ``random.Random`` (CPython's Mersenne Twister) via
 ``randint``, so a fixed seed reproduces an instance byte for byte and
@@ -13,21 +14,11 @@ golden files stay stable.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-
 from random import Random
 
-from .compress import CompressOutput, compress, DEFAULT_COMPRESS_BUDGET
-from .errors import BudgetExceededError, RejectionCapError, ValidationError
+from .errors import RejectionCapError, ValidationError
 from .model import ProblemInput
-from .verify import (
-    DEFAULT_VERIFY_BUDGET,
-    Verdict,
-    bound_check,
-    cone_membership,
-    matrix_check,
-)
 
 DEFAULT_MAX_ENTRY = 30
 DEFAULT_RETRY_CAP = 10_000
@@ -73,32 +64,6 @@ class HiddenInstance:
                 )
 
 
-@dataclass(frozen=True)
-class EndToEndReport:
-    """Four verdicts on one instance, plus per-stage wall-clock seconds.
-
-    ``membership`` is None when the full scan would exceed its budget;
-    skipping is not a failure, the other checks still stand.
-    """
-
-    x: tuple[int, ...]
-    output_ok: bool
-    matrix: Verdict
-    membership: Verdict | None
-    bound: Verdict
-    seconds: dict[str, float]
-    result: CompressOutput
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.output_ok
-            and self.matrix.ok
-            and self.bound.ok
-            and (self.membership is None or self.membership.ok)
-        )
-
-
 def generate(
     n: int,
     d: int,
@@ -116,7 +81,7 @@ def generate(
     it or the per-row retry cap runs out.
     """
     if n < 1 or d < 1 or m < 1 or scale < 1 or max_entry < 1:
-        raise ValueError("generate requires n, d, m, scale, max_entry >= 1")
+        raise ValidationError("generate requires n, d, m, scale, max_entry >= 1")
     rng = Random(seed)
     for _ in range(retry_cap):
         planted = tuple(rng.randint(0, max_entry) for _ in range(n))
@@ -146,45 +111,3 @@ def generate(
         scale=scale,
     )
 
-
-def end_to_end(
-    instance: HiddenInstance,
-    budget: int = DEFAULT_COMPRESS_BUDGET,
-    membership_budget: int = DEFAULT_VERIFY_BUDGET,
-) -> EndToEndReport:
-    """Compress the public problem and verify the output every way we can."""
-    public = instance.public
-    seconds: dict[str, float] = {}
-
-    start = time.perf_counter()
-    result = compress(public, budget)
-    seconds["compress"] = time.perf_counter() - start
-    x = result.x
-
-    output_ok = bool(any(x)) and all(v >= 0 for v in x) and len(x) == public.n
-
-    start = time.perf_counter()
-    matrix = matrix_check(instance.hidden_matrix, x, public.d)
-    seconds["matrix"] = time.perf_counter() - start
-
-    membership = None
-    start = time.perf_counter()
-    try:
-        membership = cone_membership(x, public.y, public.d, membership_budget)
-        seconds["membership"] = time.perf_counter() - start
-    except BudgetExceededError:
-        pass
-
-    start = time.perf_counter()
-    bound = bound_check(x, public.n, public.d)
-    seconds["bound"] = time.perf_counter() - start
-
-    return EndToEndReport(
-        x=x,
-        output_ok=output_ok,
-        matrix=matrix,
-        membership=membership,
-        bound=bound,
-        seconds=seconds,
-        result=result,
-    )

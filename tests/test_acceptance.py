@@ -16,7 +16,6 @@ from conecompress import (
     coefficient_cap,
     compress,
     cone_membership,
-    end_to_end,
     generate,
     matrix_check,
     tightest_lower,
@@ -106,22 +105,14 @@ def test_criterion_2_bound_formula():
 @criterion(3, "200 hidden instances: well-formed, matrix, bound, membership ok, < 120 s")
 def test_criterion_3_hidden_instance_suite():
     start = time.perf_counter()
-    membership_checked = 0
     for n, d, scale, seed in SUITE3:
         inst = instance_for(n, d, scale, seed)
-        report = end_to_end(inst)
-        _outputs[(n, d, scale, seed)] = report.result
-        x = report.x
+        x = output_for(n, d, scale, seed).x
         assert len(x) == n and any(x) and all(isinstance(v, int) and v >= 0 for v in x)
-        assert report.output_ok
-        assert report.matrix.ok
-        assert report.bound.ok
-        if (2 * d + 1) ** n <= 10**7:
-            assert report.membership is not None
-            assert report.membership.ok
-            membership_checked += 1
+        assert matrix_check(inst.hidden_matrix, x, d).ok
+        assert bound_check(x, n, d).ok
+        assert cone_membership(x, inst.public.y, d).ok
     elapsed = time.perf_counter() - start
-    assert membership_checked > 0
     assert elapsed < 120.0
 
 

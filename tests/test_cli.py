@@ -90,6 +90,15 @@ class TestCompressCommand:
 
 
 class TestVerifyCommand:
+    def test_budget_exit(self, worked_instance, tmp_path, capsys):
+        xfile = tmp_path / "x.json"
+        io.write_json(xfile, {"x": ["1", "1", "2", "8"]})
+        code, out, err = run_cli(capsys, "verify", worked_instance, xfile, "--budget", "80")
+        assert (code, out) == (4, "")
+        error = json.loads(err)["error"]
+        assert error["code"] == "budget"
+        assert error["required"] == "81"  # 3**4 coefficient vectors
+
     def test_all_modes_pass(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
         inst = generate(n=4, d=1, m=3, seed=11, max_entry=20)
@@ -453,7 +462,10 @@ class TestErrorClasses:
                 subclasses.add(sub)
                 todo.append(sub)
         assert subclasses == set(self.EXIT_CODES)
-        for error, (exit_code, code) in self.EXIT_CODES.items():
+        # the bare base class is the fallback for any other package error
+        table = {**self.EXIT_CODES, ConeCompressError: (7, "internal")}
+        for error, (exit_code, code) in table.items():
+            assert (error.exit_code, error.code) == (exit_code, code), error
 
             def fail(*args, error=error):
                 raise error("raised inside a command handler")
@@ -461,7 +473,9 @@ class TestErrorClasses:
             monkeypatch.setattr(cli, "bound_value", fail)
             code_seen, _, err = run_cli(capsys, "bound", "--n", 2, "--d", 1)
             assert code_seen == exit_code, error
-            assert json.loads(err)["error"]["code"] == code
+            error_doc = json.loads(err)["error"]
+            assert error_doc["code"] == code
+            assert error_doc["message"] == "raised inside a command handler"
 
 
 class TestNumbersPastTheDecimalDigitLimit:
