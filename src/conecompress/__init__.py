@@ -17,7 +17,6 @@ from .compress import (
     StepRecord,
     compress,
     plan,
-    step,
     tightest_lower,
     tightest_upper,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "generate",
     "matrix_check",
     "plan",
-    "step",
     "tightest_lower",
     "tightest_upper",
     "unsort",

@@ -38,12 +38,23 @@ look from (see _best_last); and the quotient of 2*cap*y_n by y_{n-1},
 so that one division per item and direction gives the walk's range. A
 walk also returns its point's height, so the best last coefficient needs
 no division of its own.
+
+A level whose last two tail entries are proportional to the witness's,
+x_{n-1}*y_n = x_n*y_{n-1} with y_{n-1} > 0, is a ray pair. There the
+objective of a last prefix coordinate q grows with one residue,
+-(y_{n-1}*q + beta) mod y_n, where beta is the head's and the earlier
+prefix's dot product with the witness; its least value is -beta mod
+gcd(y_{n-1}, y_n). The level keeps that gcd, the period y_n/gcd and an
+inverse mod the period, and each item solves one linear congruence for its
+best q, walking only when the solution lies past the item's range (see
+_best_last). Generated instances are of this kind below the widest level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .errors import InternalInconsistencyError
@@ -219,7 +230,7 @@ def _best_head(a, y_last, x_last, cap):
     return best
 
 
-def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap):
+def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap, ray):
     """Minimize x_last*G(q) - x_q*q - px over q in [-cap, hi], smallest q first.
 
     q is the last prefix coordinate, with the head and the earlier prefix
@@ -247,6 +258,20 @@ def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap):
     A2*t1 <= 4*cap**2*(x_last + x_q)/x_last < D/x_last; equal A go to the
     smaller t. With y_q = 0, G is constant, and the walk picks q = hi when
     x_q > 0 and its left end otherwise.
+
+    On a ray pair, y_q > 0 and x_q*y_last = x_last*y_q, the rest is one
+    congruence and the walk runs only when its solution lies past hi. ray
+    is then (g, P, inv), with g = gcd(y_q, y_last), P = y_last/g and inv
+    the inverse of y_q/g mod P, and None otherwise. Write R(q) =
+    y_last*G(q) - y_q*q - beta = -(y_q*q + beta) mod y_last for an
+    unclamped q. As x_q = x_last*y_q/y_last, the objective is
+    x_last*(beta + R(q))/y_last - px, so it grows with R(q) alone. R(q) is
+    congruent to -beta mod g, so it is at least r0 = -beta mod g, and it
+    equals r0 exactly when (y_q/g)*q = -(beta + r0)/g mod P. The smallest
+    such q at or past lo, q1, is therefore the smallest minimiser of the
+    rest whenever q1 <= hi. The clamped q still win ties: a clamped q's
+    objective is at least its unclamped one, which is at least the
+    minimum.
     """
     if hi < -cap:
         return None
@@ -256,10 +281,18 @@ def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap):
         best = (-cap * x_last - x_q * q - px, -cap, q)
         lo = clamped_hi + 1
     if lo <= hi:
-        t, g = _walk(*far, x_last, chain, beta + lo * y_q, hi - lo + 1)
-        num = x_last * g - x_q * (lo + t) - px
+        q = hi + 1
+        if ray is not None:
+            div, period, inv = ray
+            r = -beta % div
+            q = lo + ((-(beta + r) // div * inv - lo) % period)
+            g = (y_q * q + beta + r) // (div * period)  # div*period = y_last
+        if q > hi:
+            t, g = _walk(*far, x_last, chain, beta + lo * y_q, hi - lo + 1)
+            q = lo + t
+        num = x_last * g - x_q * q - px
         if best is None or num < best[0]:
-            best = (num, g, lo + t)
+            best = (num, g, q)
     return best
 
 
@@ -299,7 +332,8 @@ def _bounds(level, witness, tail, cap) -> tuple[BoundResult, BoundResult]:
     _best_last returns the smallest last prefix coordinate among ties, so
     a later item wins only on a strictly better (value, |head|), which
     reproduces the tie-break on the tail. Both directions and every head
-    share the level's Euclid chain of (y_q, y_last) and its far point.
+    share the level's Euclid chain of (y_q, y_last), its far point and, on
+    a ray pair, its congruence data (see _best_last).
     """
     if tail.level != level + 1:
         raise ValueError("tail must start at level + 1")
@@ -318,8 +352,12 @@ def _bounds(level, witness, tail, cap) -> tuple[BoundResult, BoundResult]:
         far_d = 4 * cap * cap * (x_last + x_q) + 1
         far = (-far_d * x_last, (cap + 1) * x_last - x_q * far_d)
         top, span = cap * y_last, 2 * cap * y_last
+        ray = None
         if y_q:
             dq, dr = divmod(span, y_q)
+            if x_q * y_last == x_last * y_q:
+                div = gcd(y_q, y_last)
+                ray = (div, y_last // div, pow(y_q // div, -1, y_last // div))
         bests = []
         for sign in (1, -1):
             best = None
@@ -338,7 +376,7 @@ def _bounds(level, witness, tail, cap) -> tuple[BoundResult, BoundResult]:
                         fq = cap if room >= 0 else -cap - 1
                         cq = cap if room >= span else -cap - 1
                     found = _best_last(
-                        chain, far, min(cap, fq), min(cap, cq), beta, px, y_q, x_q, x_last, cap
+                        chain, far, min(cap, fq), min(cap, cq), beta, px, y_q, x_q, x_last, cap, ray
                     )
                     if found is not None and _precedes((found[0], c), best):
                         num, g, q = found

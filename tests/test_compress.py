@@ -4,6 +4,7 @@ import json
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from pathlib import Path
 from random import Random
 
@@ -18,20 +19,20 @@ from conecompress import (
     cone_membership,
     generate,
     plan,
-    step,
     tightest_lower,
     tightest_upper,
     validate,
 )
-from conecompress.compress import BoundResult, PartialSolution
+from conecompress.compress import BoundResult, PartialSolution, step
 from conecompress.errors import BudgetExceededError, InternalInconsistencyError
 from conecompress.model import Constraint, SortedWitness
 
 from oracle import dot, naive_tightest, scan_tightest
 
 W4 = validate(ProblemInput(4, 1, (2, 3, 7, 29)))
-HARD_DIGESTS = json.loads(
-    (Path(__file__).parent / "data" / "hard_regime_trace_digests.json").read_text()
+HARD_DIGESTS, EASY_DIGESTS = (
+    json.loads((Path(__file__).parent / "data" / f"{regime}_regime_trace_digests.json").read_text())
+    for regime in ("hard", "easy")
 )
 
 
@@ -150,6 +151,26 @@ def level_cases(draw):
     return tuple(y), tuple(x), cap
 
 
+@st.composite
+def ray_cases(draw):
+    """A level problem whose tail is a multiple of the witness tail.
+
+    Both are multiples of one base vector, so the last two coordinates are
+    a ray pair whenever the base's second-to-last entry is positive; the
+    head entry is at most the first tail entry, as in a sorted witness.
+    """
+    width = draw(st.integers(2, 3))
+    cap = draw(st.integers(1, (128, 8)[width - 2]))
+    small = st.integers(1, 30)
+    big = st.one_of(small, st.integers(1, 10**300), st.integers(1, 10**1000))
+    base = sorted(draw(st.lists(st.integers(0, 30), min_size=width, max_size=width)))
+    base[-1] = base[-1] or 1
+    mu, lam = draw(big), draw(big)
+    y_tail = [mu * b for b in base]
+    head = draw(st.integers(0, y_tail[0]))
+    return (head, *y_tail), tuple(lam * b for b in base), cap
+
+
 class TestKernel:
     def test_exhaustive_against_naive_scan(self):
         checked = 0
@@ -176,6 +197,14 @@ class TestKernel:
         got = fn(1, witness(*y), PartialSolution(2, x), cap)
         assert (got.value, got.achieving.coeffs) == scan_tightest(1, y, x, cap, upper)
 
+    @settings(max_examples=40, deadline=None)
+    @given(ray_cases(), st.booleans())
+    def test_ray_levels_equal_the_tail_scan(self, case, upper):
+        y, x, cap = case
+        fn = tightest_upper if upper else tightest_lower
+        got = fn(1, witness(*y), PartialSolution(2, x), cap)
+        assert (got.value, got.achieving.coeffs) == scan_tightest(1, y, x, cap, upper)
+
     def test_widest_level_gives_the_farey_neighbours(self):
         # far past any scan: cap 2**4096 and 2001-digit witness entries
         cap = 2**4096
@@ -189,11 +218,12 @@ class TestKernel:
         assert up.denominator + lo.denominator > cap
 
 
-def count_searches(monkeypatch):
-    """Record every _best_head and _best_last call of compress._bounds."""
+def count_searches(monkeypatch, names=("_best_head", "_best_last")):
+    """Record every call to the named functions of compress, by name; by
+    default the two searches that compress._bounds runs."""
     module = importlib.import_module("conecompress.compress")
     calls = []
-    for name in ("_best_head", "_best_last"):
+    for name in names:
         search = getattr(module, name)
 
         def counted(*args, _search=search, _name=name):
@@ -249,6 +279,25 @@ class TestPlan:
         ]
         assert len(calls) == sum(2 * searches for _, _, searches in levels)
 
+    @pytest.mark.parametrize(
+        "problem, walks",
+        [
+            (generate(6, 1, 12, 0).public, 287),
+            (generate(7, 1, 14, 1).public, 3113),
+            (generate(5, 1, 10, 1, scale=1, max_entry=10**12).public, 56),
+        ],
+        ids=["easy-n6-d1", "easy-n7-d1", "hard-regime"],
+    )
+    def test_walks_per_run(self, monkeypatch, problem, walks):
+        # below the widest level a generated instance is a ray pair, so an
+        # item walks only when its congruence's solution is past its range;
+        # the hard regime has no ray pair and walks once per search
+        module, calls = count_searches(monkeypatch, ("_best_head", "_best_last", "_walk"))
+        compress(problem)
+        levels = plan(problem.n, problem.d)
+        assert calls.count("_walk") == walks
+        assert len(calls) - walks == sum(2 * searches for _, _, searches in levels)
+
     @pytest.mark.parametrize("n, d", [(7, 1), (6, 2)])
     def test_frontier(self, n, d):
         # levels n-2 and n-3 are the largest and fit the default budget;
@@ -298,14 +347,29 @@ def brute_last(beta, px, y_q, y_last, x_q, x_last, cap):
 
 
 class TestBestLast:
-    def test_exhaustive_against_a_scan_of_the_last_coordinate(self):
-        best_last = importlib.import_module("conecompress.compress")._best_last
-        seen = dict.fromkeys(("none-feasible", "all-clamped", "some-clamped", "tie"), 0)
-        for cap, y_last, x_last in product((1, 2, 3, 4), (1, 2, 5), (1, 3)):
-            for y_q, x_q in product(sorted({0, 1, y_last - 1, y_last}), range(x_last + 1)):
+    def test_exhaustive_against_a_scan_of_the_last_coordinate(self, monkeypatch):
+        module = importlib.import_module("conecompress.compress")
+        walk, walked = module._walk, []
+
+        def recorded(*args):
+            walked.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(module, "_walk", recorded)
+        seen = dict.fromkeys(
+            ("none-feasible", "all-clamped", "some-clamped", "tie", "closed-form", "fallback"), 0
+        )
+        for cap, y_last, x_last in product((1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 6)):
+            for y_q, x_q in product(
+                sorted({0, 1, min(2, y_last), y_last - 1, y_last}), range(x_last + 1)
+            ):
                 chain = [(*divmod(y_q, y_last), y_last)]
                 far_d = 4 * cap * cap * (x_last + x_q) + 1  # D of the docstring
                 far = (-far_d * x_last, (cap + 1) * x_last - x_q * far_d)
+                ray = None  # the level's congruence data, as _bounds builds it
+                if y_q and x_q * y_last == x_last * y_q:
+                    g = gcd(y_q, y_last)
+                    ray = (g, y_last // g, pow(y_q // g, -1, y_last // g))
                 reach = cap * (y_last + y_q) + 2
                 for beta, px in product(range(-reach, reach + 1), (0, 5)):
                     qs = range(-cap, cap + 1)
@@ -313,8 +377,9 @@ class TestBestLast:
                     clamped = [q for q in qs if y_q * q + beta <= -cap * y_last]
                     hi = max(feasible, default=-cap - 1)
                     clamped_hi = max(clamped, default=-cap - 1)
-                    got = best_last(
-                        chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap
+                    walked.clear()
+                    got = module._best_last(
+                        chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap, ray
                     )
                     want = brute_last(beta, px, y_q, y_last, x_q, x_last, cap)
                     assert got == want, (cap, y_last, x_last, y_q, x_q, beta, px)
@@ -325,6 +390,9 @@ class TestBestLast:
                         seen["all-clamped"] += 1
                     elif clamped:
                         seen["some-clamped"] += 1
+                    if ray is not None and len(clamped) < len(feasible):
+                        # walks only when the congruence's solution is past hi
+                        seen["fallback" if walked else "closed-form"] += 1
                     nums = [
                         x_last * max(-cap, -(-(y_q * q + beta) // y_last)) - x_q * q - px
                         for q in feasible
@@ -399,11 +467,14 @@ def trace_digest(out):
 
 
 class TestGoldenTraces:
-    """Hard-regime traces pinned by digest: scale 1, entries up to 10**1000.
+    """Traces pinned by digest in both regimes; any change to an output, a
+    bound or a tie-break shows here.
 
-    The digests in tests/data were computed by the kernel that divided
-    afresh in every walk, before the per-level Euclid chains; any change
-    to an output, a bound or a tie-break shows here.
+    Hard regime: scale 1, entries up to 10**1000, digests computed by the
+    kernel that divided afresh in every walk, before the per-level Euclid
+    chains. Easy regime: generated at the default scale, where every level
+    below the widest is a ray pair, digests computed by the kernel that
+    walked every item, before the congruence solve of _best_last.
     """
 
     @pytest.mark.parametrize("seed", range(6))
@@ -412,6 +483,14 @@ class TestGoldenTraces:
         instance = generate(n, d, 2 * n, seed, scale=1, max_entry=10**1000)
         out = compress(instance.public)
         assert trace_digest(out) == HARD_DIGESTS[f"n{n}_d{d}_seed{seed}"]
+
+    @pytest.mark.parametrize(
+        "n, d, seed",
+        [(6, 1, s) for s in range(6)] + [(5, 2, s) for s in range(6)] + [(7, 1, 1), (6, 2, 1)],
+    )
+    def test_easy_regime_trace_digest(self, n, d, seed):
+        out = compress(generate(n, d, 2 * n, seed).public)
+        assert trace_digest(out) == EASY_DIGESTS[f"n{n}_d{d}_seed{seed}"]
 
 
 class TestStep:
