@@ -48,10 +48,21 @@ gcd(y_{n-1}, y_n). The level keeps that gcd, the period y_n/gcd and an
 inverse mod the period, and each item solves one linear congruence for its
 best q, walking only when the solution lies past the item's range (see
 _best_last). Generated instances are of this kind below the widest level.
+
+Any other level with y_{n-1} > 0 keeps a residue table: the residues
+y_{n-1}*q mod y_n for q in [-cap, cap], sorted, and their q. With
+S = x_n*y_{n-1} - y_n*x_{n-1}, an item's objective at q is, up to a
+positive factor and a constant, S*q + x_n*(-(y_{n-1}*q + beta) mod y_n).
+One bisection finds the q of the least residue term and the next term
+up, and one comparison certifies that q as the item's only minimiser;
+the item walks only when that q lies outside its range or the
+certificate fails (see _best_last). Hard-regime levels are of this kind,
+and the table settles most of their items.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -230,7 +241,7 @@ def _best_head(a, y_last, x_last, cap):
     return best
 
 
-def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap, ray):
+def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap, ray, table):
     """Minimize x_last*G(q) - x_q*q - px over q in [-cap, hi], smallest q first.
 
     q is the last prefix coordinate, with the head and the earlier prefix
@@ -272,6 +283,25 @@ def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap, ray)
     rest whenever q1 <= hi. The clamped q still win ties: a clamped q's
     objective is at least its unclamped one, which is at least the
     minimum.
+
+    On any other pair with y_q > 0, table is (S, y_last, residues, qs),
+    and None otherwise: the drift S = x_last*y_q - y_last*x_q, residues
+    the values y_q*q mod y_last for q in [-cap, cap] in ascending order,
+    ties by q, and qs their q (see _residues). With R(q) as above, an
+    unclamped q has y_last*(x_last*G(q) - x_q*q) - x_last*beta =
+    S*q + x_last*R(q) = Phi(q), so the rest minimises Phi. With
+    T = -beta mod y_last, R(q) = (T - u) mod y_last for q's residue u, so
+    the least R, R1, belongs to the last residue at or below T (the
+    largest residue when none is), and the residue before it, cyclically,
+    gives the next value, R2, counted with multiplicity. Let q1 be the q
+    of R1. If q1 is in [lo, hi] and Phi(q1) < min(S*lo, S*hi) + x_last*R2,
+    every other q in [lo, hi] has Phi(q) >= S*q + x_last*R2 >=
+    min(S*lo, S*hi) + x_last*R2 > Phi(q1), so q1 is the only minimiser of
+    the rest, no tie-break can move it, and G(q1) = (y_q*q1 + beta +
+    R1)/y_last. The test is made as S*(q1 - e) < x_last*(R2 - R1), with e
+    the end of [lo, hi] where S*q is least. Equal least residues give
+    R2 = R1, and the test fails, as S*(q1 - e) >= 0. An item whose q1 is
+    out of range, or whose test fails, walks.
     """
     if hi < -cap:
         return None
@@ -287,6 +317,16 @@ def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap, ray)
             r = -beta % div
             q = lo + ((-(beta + r) // div * inv - lo) % period)
             g = (y_q * q + beta + r) // (div * period)  # div*period = y_last
+        elif table is not None:
+            drift, y_last, residues, qs = table
+            t = -beta % y_last
+            i = bisect_right(residues, t)
+            q1 = qs[i - 1]
+            if lo <= q1 <= hi:
+                r1 = (t - residues[i - 1]) % y_last
+                r2 = (t - residues[i - 2]) % y_last
+                if drift * (q1 - (lo if drift > 0 else hi)) < x_last * (r2 - r1):
+                    q, g = q1, (y_q * q1 + beta + r1) // y_last
         if q > hi:
             t, g = _walk(*far, x_last, chain, beta + lo * y_q, hi - lo + 1)
             q = lo + t
@@ -294,6 +334,24 @@ def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap, ray)
         if best is None or num < best[0]:
             best = (num, g, q)
     return best
+
+
+def _residues(y_q, y_last, cap):
+    """The residues y_q*q mod y_last for q in [-cap, cap], sorted with ties
+    by q, and their q: two parallel lists, so each residue is stored once.
+
+    Each residue is the one before plus y_q mod y_last, less y_last when
+    that passes it: one addition per q, however long the entries are.
+    """
+    stride = y_q % y_last
+    u, unsorted = -cap * y_q % y_last, []
+    for _ in range(2 * cap + 1):
+        unsorted.append(u)
+        u += stride
+        if u >= y_last:
+            u -= y_last
+    order = sorted(range(2 * cap + 1), key=unsorted.__getitem__)
+    return [unsorted[i] for i in order], [i - cap for i in order]
 
 
 def _prefixes(cap: int, y_mid, x_mid):
@@ -332,8 +390,9 @@ def _bounds(level, witness, tail, cap) -> tuple[BoundResult, BoundResult]:
     _best_last returns the smallest last prefix coordinate among ties, so
     a later item wins only on a strictly better (value, |head|), which
     reproduces the tie-break on the tail. Both directions and every head
-    share the level's Euclid chain of (y_q, y_last), its far point and, on
-    a ray pair, its congruence data (see _best_last).
+    share the level's Euclid chain of (y_q, y_last), its far point and,
+    when y_q > 0, its congruence data on a ray pair or else its residue
+    table (see _best_last).
     """
     if tail.level != level + 1:
         raise ValueError("tail must start at level + 1")
@@ -352,12 +411,14 @@ def _bounds(level, witness, tail, cap) -> tuple[BoundResult, BoundResult]:
         far_d = 4 * cap * cap * (x_last + x_q) + 1
         far = (-far_d * x_last, (cap + 1) * x_last - x_q * far_d)
         top, span = cap * y_last, 2 * cap * y_last
-        ray = None
+        ray = table = None
         if y_q:
             dq, dr = divmod(span, y_q)
             if x_q * y_last == x_last * y_q:
                 div = gcd(y_q, y_last)
                 ray = (div, y_last // div, pow(y_q // div, -1, y_last // div))
+            else:
+                table = (x_last * y_q - y_last * x_q, y_last, *_residues(y_q, y_last, cap))
         bests = []
         for sign in (1, -1):
             best = None
@@ -376,7 +437,8 @@ def _bounds(level, witness, tail, cap) -> tuple[BoundResult, BoundResult]:
                         fq = cap if room >= 0 else -cap - 1
                         cq = cap if room >= span else -cap - 1
                     found = _best_last(
-                        chain, far, min(cap, fq), min(cap, cq), beta, px, y_q, x_q, x_last, cap, ray
+                        chain, far, min(cap, fq), min(cap, cq), beta, px, y_q, x_q, x_last, cap,
+                        ray, table,
                     )
                     if found is not None and _precedes((found[0], c), best):
                         num, g, q = found

@@ -171,6 +171,50 @@ def ray_cases(draw):
     return (head, *y_tail), tuple(lam * b for b in base), cap
 
 
+def upper_farey(a, b, n):
+    """The smallest fraction p/q >= a/b with 1 <= q <= n, for 0 <= a <= b,
+    as (p, q): a descent of the Stern-Brocot tree, many steps at a time.
+
+    The neighbours lp/lq < a/b < rp/rq move towards a/b until a/b itself
+    is reached or the next mediant's denominator passes n.
+    """
+    if a == 0 or a == b:
+        return a // b, 1
+    lp, lq, rp, rq = 0, 1, 1, 1
+    while lq + rq <= n:
+        side = a * (lq + rq) - b * (lp + rp)
+        if side == 0:
+            return lp + rp, lq + rq
+        if side > 0:  # the mediant is below a/b: move the left neighbour
+            k = min((a * lq - b * lp - 1) // (b * rp - a * rq), (n - lq) // rq)
+            lp, lq = lp + k * rp, lq + k * rq
+        else:
+            k = min((b * rp - a * rq - 1) // (a * lq - b * lp), (n - rq) // lq)
+            rp, rq = rp + k * lp, rq + k * lq
+    return rp, rq
+
+
+@st.composite
+def farey_cases(draw):
+    """A level problem whose tail is as compress makes it in the hard regime.
+
+    The widest level sets x_q/x_last to the upper Farey approximation of
+    y_q/y_last with denominators up to its cap, and every later rescale
+    multiplies both; here that cap is 2*cap**2, the cap one level up. Such
+    tails are not ray pairs, and they reach the residue table's certificate
+    far more often than random ones.
+    """
+    width = draw(st.integers(2, 3))
+    cap = draw(st.integers(1, (128, 8)[width - 2]))
+    entry = st.one_of(st.integers(1, 10**12), st.integers(1, 10**1000))
+    y_tail = sorted(draw(st.lists(entry, min_size=width, max_size=width)))
+    head = draw(st.integers(0, y_tail[0]))
+    p, q = upper_farey(y_tail[-2], y_tail[-1], 2 * cap * cap)
+    k = draw(st.integers(1, 2 * cap))
+    x_mid = draw(st.lists(st.integers(0, k * p), min_size=width - 2, max_size=width - 2))
+    return (head, *y_tail), (*sorted(x_mid), k * p, k * q), cap
+
+
 class TestKernel:
     def test_exhaustive_against_naive_scan(self):
         checked = 0
@@ -204,6 +248,24 @@ class TestKernel:
         fn = tightest_upper if upper else tightest_lower
         got = fn(1, witness(*y), PartialSolution(2, x), cap)
         assert (got.value, got.achieving.coeffs) == scan_tightest(1, y, x, cap, upper)
+
+    @settings(max_examples=40, deadline=None)
+    @given(farey_cases(), st.booleans())
+    def test_farey_tails_equal_the_tail_scan(self, case, upper):
+        y, x, cap = case
+        fn = tightest_upper if upper else tightest_lower
+        got = fn(1, witness(*y), PartialSolution(2, x), cap)
+        assert (got.value, got.achieving.coeffs) == scan_tightest(1, y, x, cap, upper)
+
+    @pytest.mark.parametrize(
+        "a, b, n, want",
+        [(0, 5, 3, (0, 1)), (5, 5, 3, (1, 1)), (2, 4, 3, (1, 2)), (3, 7, 3, (1, 2)),
+         (3, 7, 7, (3, 7)), (1, 10**6, 4, (1, 4)), (10**6 - 1, 10**6, 10, (1, 1))],
+    )
+    def test_upper_farey(self, a, b, n, want):
+        assert upper_farey(a, b, n) == want
+        scan = min(Fraction(-(-a * c // b), c) for c in range(1, n + 1))
+        assert Fraction(*want) == scan
 
     def test_widest_level_gives_the_farey_neighbours(self):
         # far past any scan: cap 2**4096 and 2001-digit witness entries
@@ -284,14 +346,17 @@ class TestPlan:
         [
             (generate(6, 1, 12, 0).public, 287),
             (generate(7, 1, 14, 1).public, 3113),
-            (generate(5, 1, 10, 1, scale=1, max_entry=10**12).public, 56),
+            (generate(5, 1, 10, 1, scale=1, max_entry=10**12).public, 25),
+            (generate(6, 1, 12, 0, scale=1, max_entry=10**1000).public, 142),
         ],
-        ids=["easy-n6-d1", "easy-n7-d1", "hard-regime"],
+        ids=["easy-n6-d1", "easy-n7-d1", "hard-regime", "hard-regime-bigwitness"],
     )
     def test_walks_per_run(self, monkeypatch, problem, walks):
         # below the widest level a generated instance is a ray pair, so an
         # item walks only when its congruence's solution is past its range;
-        # the hard regime has no ray pair and walks once per search
+        # the hard regime has no ray pair, and an item walks only when the
+        # level's residue table does not certify its best last coordinate
+        # (without the table it walks once per search: 56 and 684 walks)
         module, calls = count_searches(monkeypatch, ("_best_head", "_best_last", "_walk"))
         compress(problem)
         levels = plan(problem.n, problem.d)
@@ -357,19 +422,30 @@ class TestBestLast:
 
         monkeypatch.setattr(module, "_walk", recorded)
         seen = dict.fromkeys(
-            ("none-feasible", "all-clamped", "some-clamped", "tie", "closed-form", "fallback"), 0
+            (
+                "none-feasible", "all-clamped", "some-clamped", "tie", "closed-form", "fallback",
+                "certified S>0", "certified S<0", "q1-out-of-range", "certificate-failed",
+                "equal-residues",
+            ),
+            0,
         )
-        for cap, y_last, x_last in product((1, 2, 3, 4), (1, 2, 5, 6), (1, 3, 6)):
+        for cap, y_last, x_last in product((1, 2, 3, 4), (1, 2, 5, 6, 11), (1, 3, 6)):
             for y_q, x_q in product(
                 sorted({0, 1, min(2, y_last), y_last - 1, y_last}), range(x_last + 1)
             ):
                 chain = [(*divmod(y_q, y_last), y_last)]
                 far_d = 4 * cap * cap * (x_last + x_q) + 1  # D of the docstring
                 far = (-far_d * x_last, (cap + 1) * x_last - x_q * far_d)
-                ray = None  # the level's congruence data, as _bounds builds it
-                if y_q and x_q * y_last == x_last * y_q:
+                # the level's congruence data or residue table, as _bounds builds them
+                ray = table = None
+                s = x_last * y_q - y_last * x_q
+                if y_q and s == 0:
                     g = gcd(y_q, y_last)
                     ray = (g, y_last // g, pow(y_q // g, -1, y_last // g))
+                elif y_q:
+                    table = (s, y_last, *module._residues(y_q, y_last, cap))
+                    pairs = sorted((y_q * q % y_last, q) for q in range(-cap, cap + 1))
+                    assert table[2:] == tuple(map(list, zip(*pairs)))
                 reach = cap * (y_last + y_q) + 2
                 for beta, px in product(range(-reach, reach + 1), (0, 5)):
                     qs = range(-cap, cap + 1)
@@ -379,7 +455,7 @@ class TestBestLast:
                     clamped_hi = max(clamped, default=-cap - 1)
                     walked.clear()
                     got = module._best_last(
-                        chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap, ray
+                        chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap, ray, table
                     )
                     want = brute_last(beta, px, y_q, y_last, x_q, x_last, cap)
                     assert got == want, (cap, y_last, x_last, y_q, x_q, beta, px)
@@ -393,6 +469,23 @@ class TestBestLast:
                     if ray is not None and len(clamped) < len(feasible):
                         # walks only when the congruence's solution is past hi
                         seen["fallback" if walked else "closed-form"] += 1
+                    if table is not None and len(clamped) < len(feasible):
+                        # the certificate, from a sort of -(y_q*q + beta) mod y_last
+                        lo = clamped_hi + 1
+                        (r1, q1), (r2, _) = sorted(
+                            (-(y_q * q + beta) % y_last, q) for q in qs
+                        )[:2]
+                        if r1 == r2:
+                            assert y_last // gcd(y_q, y_last) <= 2 * cap
+                            outcome = "equal-residues"
+                        elif not lo <= q1 <= hi:
+                            outcome = "q1-out-of-range"
+                        elif s * q1 + x_last * r1 < min(s * lo, s * hi) + x_last * r2:
+                            outcome = "certified S>0" if s > 0 else "certified S<0"
+                        else:
+                            outcome = "certificate-failed"
+                        assert bool(walked) != outcome.startswith("certified"), outcome
+                        seen[outcome] += 1
                     nums = [
                         x_last * max(-cap, -(-(y_q * q + beta) // y_last)) - x_q * q - px
                         for q in feasible
@@ -472,9 +565,11 @@ class TestGoldenTraces:
 
     Hard regime: scale 1, entries up to 10**1000, digests computed by the
     kernel that divided afresh in every walk, before the per-level Euclid
-    chains. Easy regime: generated at the default scale, where every level
-    below the widest is a ray pair, digests computed by the kernel that
-    walked every item, before the congruence solve of _best_last.
+    chains; at the frontier shapes, entries up to 10**12, digests computed
+    by the kernel that walked every item, before the residue table. Easy
+    regime: generated at the default scale, where every level below the
+    widest is a ray pair, digests computed by the kernel that walked every
+    item, before the congruence solve of _best_last.
     """
 
     @pytest.mark.parametrize("seed", range(6))
@@ -483,6 +578,12 @@ class TestGoldenTraces:
         instance = generate(n, d, 2 * n, seed, scale=1, max_entry=10**1000)
         out = compress(instance.public)
         assert trace_digest(out) == HARD_DIGESTS[f"n{n}_d{d}_seed{seed}"]
+
+    @pytest.mark.parametrize("n, d", [(7, 1), (6, 2)])
+    def test_hard_regime_frontier_trace_digest(self, n, d):
+        instance = generate(n, d, 2 * n, 1, scale=1, max_entry=10**12)
+        out = compress(instance.public)
+        assert trace_digest(out) == HARD_DIGESTS[f"n{n}_d{d}_seed1_digits12"]
 
     @pytest.mark.parametrize(
         "n, d, seed",
