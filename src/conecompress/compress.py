@@ -57,7 +57,9 @@ One bisection finds the q of the least residue term and the next term
 up, and one comparison certifies that q as the item's only minimiser;
 the item walks only when that q lies outside its range or the
 certificate fails (see _best_last). Hard-regime levels are of this kind,
-and the table settles most of their items.
+and the table settles most of their items. A table's memory grows with the
+cap and the entry size, which no budget counts, so a level whose table
+would pass 64 MiB builds none and walks every item.
 """
 
 from __future__ import annotations
@@ -83,6 +85,10 @@ from .model import (
 )
 
 DEFAULT_COMPRESS_BUDGET = 10**8
+
+# The budget counts searches, not bytes, so a residue table that would pass
+# this many bytes is not built, and its level walks (see _table_bytes).
+_TABLE_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -284,8 +290,8 @@ def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap, ray,
     objective is at least its unclamped one, which is at least the
     minimum.
 
-    On any other pair with y_q > 0, table is (S, y_last, residues, qs),
-    and None otherwise: the drift S = x_last*y_q - y_last*x_q, residues
+    On any other pair with y_q > 0 whose table fits (see _table_bytes),
+    table is (S, y_last, residues, qs), and None otherwise: the drift S = x_last*y_q - y_last*x_q, residues
     the values y_q*q mod y_last for q in [-cap, cap] in ascending order,
     ties by q, and qs their q (see _residues). With R(q) as above, an
     unclamped q has y_last*(x_last*G(q) - x_q*q) - x_last*beta =
@@ -354,6 +360,16 @@ def _residues(y_q, y_last, cap):
     return [unsorted[i] for i in order], [i - cap for i in order]
 
 
+def _table_bytes(cap, y_last):
+    """An upper estimate of the peak bytes _residues allocates at this cap.
+
+    Each of the 2*cap+1 entries holds a residue below y_last, about
+    bit_length/7.5 bytes of digits beside its header, and its q, list
+    slots and sort keys, under 128 bytes together.
+    """
+    return (2 * cap + 1) * (y_last.bit_length() // 7 + 128)
+
+
 def _prefixes(cap: int, y_mid, x_mid):
     """Each prefix in [-cap, cap]**len(y_mid), lexicographically, with its dot
     products with y_mid and x_mid.
@@ -392,7 +408,7 @@ def _bounds(level, witness, tail, cap) -> tuple[BoundResult, BoundResult]:
     reproduces the tie-break on the tail. Both directions and every head
     share the level's Euclid chain of (y_q, y_last), its far point and,
     when y_q > 0, its congruence data on a ray pair or else its residue
-    table (see _best_last).
+    table, when that fits in _TABLE_BYTES (see _best_last).
     """
     if tail.level != level + 1:
         raise ValueError("tail must start at level + 1")
@@ -417,7 +433,7 @@ def _bounds(level, witness, tail, cap) -> tuple[BoundResult, BoundResult]:
             if x_q * y_last == x_last * y_q:
                 div = gcd(y_q, y_last)
                 ray = (div, y_last // div, pow(y_q // div, -1, y_last // div))
-            else:
+            elif _table_bytes(cap, y_last) <= _TABLE_BYTES:
                 table = (x_last * y_q - y_last * x_q, y_last, *_residues(y_q, y_last, cap))
         bests = []
         for sign in (1, -1):

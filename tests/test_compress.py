@@ -356,7 +356,6 @@ class TestPlan:
         # item walks only when its congruence's solution is past its range;
         # the hard regime has no ray pair, and an item walks only when the
         # level's residue table does not certify its best last coordinate
-        # (without the table it walks once per search: 56 and 684 walks)
         module, calls = count_searches(monkeypatch, ("_best_head", "_best_last", "_walk"))
         compress(problem)
         levels = plan(problem.n, problem.d)
@@ -492,6 +491,57 @@ class TestBestLast:
                     ]
                     seen["tie"] += nums.count(want[0]) > 1
         assert all(seen.values()), seen
+
+
+class TestResidueTable:
+    """compress._residues holds 2*cap+1 residues, and a level builds it only
+    when compress._table_bytes, an upper estimate of its peak, fits."""
+
+    @pytest.mark.parametrize("digits", [2, 12, 100, 1000])
+    def test_estimate_bounds_the_peak(self, digits):
+        module = importlib.import_module("conecompress.compress")
+        y_last, cap = 10**digits + 7, 3000
+        tracemalloc.start()
+        try:
+            table = module._residues(10**digits // 3 + 1, y_last, cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table[0]) == 2 * cap + 1
+        assert peak <= module._table_bytes(cap, y_last)
+
+    def test_limit(self):
+        module = importlib.import_module("conecompress.compress")
+        fits = lambda cap, y_last: module._table_bytes(cap, y_last) <= module._TABLE_BYTES
+        # (7,1) and (6,2) at level n-2 with 1000-digit entries, every
+        # smaller level at the CLI's 4300-digit limit
+        assert fits(plan(7, 1)[1][1], 10**1000) and fits(plan(6, 2)[1][1], 10**1000)
+        assert fits(plan(6, 1)[1][1], 10**4300) and fits(plan(5, 2)[1][1], 10**4300)
+        # shapes the default budget admits whose tables would hold millions
+        # of entries: level n-2 of n=3, d=10**7, of (6,4) and of (4,7000),
+        # and (6,3) at 1000 digits
+        for n, d, y_last in [(3, 10**7, 2), (6, 4, 10**12), (4, 7000, 10**12), (6, 3, 10**1000)]:
+            _, cap, searches = plan(n, d)[1]
+            assert searches <= DEFAULT_COMPRESS_BUDGET and not fits(cap, y_last)
+
+    def test_a_level_past_the_limit_walks(self, monkeypatch):
+        module = importlib.import_module("conecompress.compress")
+        w = validate(generate(3, 1, 6, 1, scale=1, max_entry=10**1000).public)
+        tail = step(2, 2, w, PartialSolution(3, (1,))).partial_after
+        cap, y_last = 1000, w.y[-1]
+        assert tail.x[0] * y_last != tail.x[1] * w.y[-2]  # not a ray pair
+        want = module._bounds(1, w, tail, cap)
+        monkeypatch.setattr(module, "_TABLE_BYTES", module._table_bytes(cap, y_last) - 1)
+        _, calls = count_searches(monkeypatch, ("_residues", "_walk"))
+        tracemalloc.start()
+        try:
+            got = module._bounds(1, w, tail, cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert calls.count("_walk") == 2 * cap and "_residues" not in calls
+        assert peak < module._table_bytes(cap, y_last) // 10
 
 
 class TestEuclidChain:
