@@ -512,7 +512,10 @@ class TestResidueTable:
 
     def test_limit(self):
         module = importlib.import_module("conecompress.compress")
-        fits = lambda cap, y_last: module._table_bytes(cap, y_last) <= module._TABLE_BYTES
+
+        def fits(cap, y_last):
+            return module._table_bytes(cap, y_last) <= module._TABLE_BYTES
+
         # (7,1) and (6,2) at level n-2 with 1000-digit entries, every
         # smaller level at the CLI's 4300-digit limit
         assert fits(plan(7, 1)[1][1], 10**1000) and fits(plan(6, 2)[1][1], 10**1000)
