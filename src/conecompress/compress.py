@@ -31,13 +31,14 @@ them, compress checks every count against a budget before the first
 level runs, and step and the bound searches run a level without checking
 again.
 
-What does not depend on the item is computed once per level: the Euclid
-chain of (y_{n-1}, y_n), which every walk of the level reads in both
-directions and the deepest walk so far extends; the far point the walks
-look from (see _best_last); and the quotient of 2*cap*y_n by y_{n-1},
-so that one division per item and direction gives the walk's range. A
-walk also returns its point's height, so the best last coefficient needs
-no division of its own.
+What does not depend on the item is built once per level by
+_last_search, into the one search that both directions and every item of
+the level run: the Euclid chain of (y_{n-1}, y_n), which every walk of
+the level reads and the deepest walk so far extends; the far point the
+walks look from; the quotient of 2*cap*y_n by y_{n-1}, so that one
+division per item gives the range of the last prefix coordinate; and the
+congruence data or the residue table below. A walk also returns its
+point's height, so the best last coefficient needs no division of its own.
 
 A level whose last two tail entries are proportional to the witness's,
 x_{n-1}*y_n = x_n*y_{n-1} with y_{n-1} > 0, is a ray pair. There the
@@ -47,7 +48,7 @@ prefix's dot product with the witness; its least value is -beta mod
 gcd(y_{n-1}, y_n). The level keeps that gcd, the period y_n/gcd and an
 inverse mod the period, and each item solves one linear congruence for its
 best q, walking only when the solution lies past the item's range (see
-_best_last). Generated instances are of this kind below the widest level.
+_last_search). Generated instances are of this kind below the widest level.
 
 Any other level with y_{n-1} > 0 keeps a residue table: the residues
 y_{n-1}*q mod y_n for q in [-cap, cap], sorted, and their q. With
@@ -56,7 +57,7 @@ positive factor and a constant, S*q + x_n*(-(y_{n-1}*q + beta) mod y_n).
 One bisection finds the q of the least residue term and the next term
 up, and one comparison certifies that q as the item's only minimiser;
 the item walks only when that q lies outside its range or the
-certificate fails (see _best_last). Hard-regime levels are of this kind,
+certificate fails (see _last_search). Hard-regime levels are of this kind,
 and the table settles most of their items. A table's memory grows with the
 cap and the entry size, which no budget counts, so a level whose table
 would pass 64 MiB builds none and walks every item.
@@ -247,22 +248,30 @@ def _best_head(a, y_last, x_last, cap):
     return best
 
 
-def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap, ray, table):
-    """Minimize x_last*G(q) - x_q*q - px over q in [-cap, hi], smallest q first.
+def _last_search(witness, tail, cap):
+    """The search for a level's last prefix coordinate q, built once per level.
 
-    q is the last prefix coordinate, with the head and the earlier prefix
-    fixed: beta is their dot product with the witness and px the earlier
+    y_q, y_last are the witness's last two entries and x_q, x_last the
+    tail's. The returned best(beta, px) fixes the head and the earlier
+    prefix: beta is their dot product with the witness and px the earlier
     prefix's with the tail. G(q) = max(-cap, ceil((y_q*q + beta)/y_last))
-    is minus the best last coefficient, and chain starts the Euclid chain
-    of (y_q, y_last) (see _walk). The q <= hi are feasible (G(q) <= cap)
-    and the q <= clamped_hi clamped (G(q) = -cap). Returns
-    (x_last*G(q) - x_q*q - px, G(q), q), or None when hi < -cap.
+    is minus the best last coefficient, and best minimizes
+    x_last*G(q) - x_q*q - px over the feasible q in [-cap, cap] (G(q) <=
+    cap), smallest q first. It returns (x_last*G(q) - x_q*q - px, G(q), q),
+    or None when no q is feasible. What does not depend on the item is
+    built here: the Euclid chain of (y_q, y_last) (see _walk), the far
+    point, the quotient and remainder of 2*cap*y_last by y_q, the drift
+    S = x_last*y_q - y_last*x_q and, when y_q > 0, the congruence data on
+    a ray pair (S = 0) or else the residue table when it fits.
 
-    The clamped q share G, so their best is the right end when x_q > 0 and
-    -cap otherwise; they lie left of the rest, so they win ties. The rest,
-    q = lo + t for t in [0, N), is one walk from the far point
-    Q = (-D, K - s*D), with s = x_q/x_last, K = cap + 1 and
-    D = 4*cap**2*(x_last + x_q) + 1, passed as ``far`` = (-D*x_last,
+    q is feasible iff y_q*q <= cap*y_last - beta, hi being the largest
+    such q, and clamped (G(q) = -cap) iff y_q*q <= -cap*y_last - beta,
+    clamped_hi the largest: one division of the item's right side by y_q
+    gives both, with the level's quotient. The clamped q share G, so their
+    best is the right end when x_q > 0 and -cap otherwise; they lie left
+    of the rest, so they win ties. The rest, q = lo + t for t in [0, N),
+    is one walk from the far point Q = (-D, K - s*D), with s = x_q/x_last,
+    K = cap + 1 and D = 4*cap**2*(x_last + x_q) + 1, held as (-D*x_last,
     K*x_last - x_q*D) over the denominator x_last. Write L(t) = G(t) - s*t,
     the objective up to the constant s*lo and the factor x_last. The slope
     from Q to (t, G(t)) is s - A(t)/(t + D) with A(t) = K - L(t). On the
@@ -276,12 +285,11 @@ def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap, ray,
     smaller t. With y_q = 0, G is constant, and the walk picks q = hi when
     x_q > 0 and its left end otherwise.
 
-    On a ray pair, y_q > 0 and x_q*y_last = x_last*y_q, the rest is one
-    congruence and the walk runs only when its solution lies past hi. ray
-    is then (g, P, inv), with g = gcd(y_q, y_last), P = y_last/g and inv
-    the inverse of y_q/g mod P, and None otherwise. Write R(q) =
-    y_last*G(q) - y_q*q - beta = -(y_q*q + beta) mod y_last for an
-    unclamped q. As x_q = x_last*y_q/y_last, the objective is
+    On a ray pair, y_q > 0 and S = 0, the rest is one congruence and the
+    walk runs only when its solution lies past hi. The level keeps
+    g = gcd(y_q, y_last), P = y_last/g and the inverse of y_q/g mod P.
+    Write R(q) = y_last*G(q) - y_q*q - beta = -(y_q*q + beta) mod y_last
+    for an unclamped q. As x_q = x_last*y_q/y_last, the objective is
     x_last*(beta + R(q))/y_last - px, so it grows with R(q) alone. R(q) is
     congruent to -beta mod g, so it is at least r0 = -beta mod g, and it
     equals r0 exactly when (y_q/g)*q = -(beta + r0)/g mod P. The smallest
@@ -291,10 +299,9 @@ def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap, ray,
     minimum.
 
     On any other pair with y_q > 0 whose table fits (see _table_bytes),
-    table is (S, y_last, residues, qs), and None otherwise: the drift S = x_last*y_q - y_last*x_q, residues
-    the values y_q*q mod y_last for q in [-cap, cap] in ascending order,
-    ties by q, and qs their q (see _residues). With R(q) as above, an
-    unclamped q has y_last*(x_last*G(q) - x_q*q) - x_last*beta =
+    the level keeps the values y_q*q mod y_last for q in [-cap, cap] in
+    ascending order, ties by q, and their q (see _residues). With R(q) as
+    above, an unclamped q has y_last*(x_last*G(q) - x_q*q) - x_last*beta =
     S*q + x_last*R(q) = Phi(q), so the rest minimises Phi. With
     T = -beta mod y_last, R(q) = (T - u) mod y_last for q's residue u, so
     the least R, R1, belongs to the last residue at or below T (the
@@ -309,36 +316,62 @@ def _best_last(chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap, ray,
     R2 = R1, and the test fails, as S*(q1 - e) >= 0. An item whose q1 is
     out of range, or whose test fails, walks.
     """
-    if hi < -cap:
-        return None
-    lo, best = -cap, None
-    if clamped_hi >= -cap:
-        q = clamped_hi if x_q else -cap
-        best = (-cap * x_last - x_q * q - px, -cap, q)
-        lo = clamped_hi + 1
-    if lo <= hi:
-        q = hi + 1
-        if ray is not None:
-            div, period, inv = ray
-            r = -beta % div
-            q = lo + ((-(beta + r) // div * inv - lo) % period)
-            g = (y_q * q + beta + r) // (div * period)  # div*period = y_last
-        elif table is not None:
-            drift, y_last, residues, qs = table
-            t = -beta % y_last
-            i = bisect_right(residues, t)
-            q1 = qs[i - 1]
-            if lo <= q1 <= hi:
-                r1 = (t - residues[i - 1]) % y_last
-                r2 = (t - residues[i - 2]) % y_last
-                if drift * (q1 - (lo if drift > 0 else hi)) < x_last * (r2 - r1):
-                    q, g = q1, (y_q * q1 + beta + r1) // y_last
-        if q > hi:
-            t, g = _walk(*far, x_last, chain, beta + lo * y_q, hi - lo + 1)
-            q = lo + t
-        num = x_last * g - x_q * q - px
-        if best is None or num < best[0]:
-            best = (num, g, q)
+    y_q, y_last = witness.y[-2:]
+    x_q, x_last = tail.x[-2:]
+    chain = [(*divmod(y_q, y_last), y_last)]
+    far_d = 4 * cap * cap * (x_last + x_q) + 1
+    far_x, far_y = -far_d * x_last, (cap + 1) * x_last - x_q * far_d
+    top, span = cap * y_last, 2 * cap * y_last
+    drift = x_last * y_q - y_last * x_q
+    div = residues = None
+    if y_q:
+        dq, dr = divmod(span, y_q)
+        if not drift:
+            div = gcd(y_q, y_last)
+            period = y_last // div
+            inv = pow(y_q // div, -1, period)
+        elif _table_bytes(cap, y_last) <= _TABLE_BYTES:
+            residues, qs = _residues(y_q, y_last, cap)
+
+    def best(beta, px):
+        room = top - beta
+        if y_q:
+            # floor((room - span)/y_q) = fq - dq - (r < dr)
+            fq, r = divmod(room, y_q)
+            hi, clamped_hi = min(cap, fq), min(cap, fq - dq - (r < dr))
+        else:  # G does not depend on q: every q or none
+            hi = cap if room >= 0 else -cap - 1
+            clamped_hi = cap if room >= span else -cap - 1
+        if hi < -cap:
+            return None
+        lo, found = -cap, None
+        if clamped_hi >= -cap:
+            q = clamped_hi if x_q else -cap
+            found = (-cap * x_last - x_q * q - px, -cap, q)
+            lo = clamped_hi + 1
+        if lo <= hi:
+            q = hi + 1
+            if div:  # a ray pair
+                r = -beta % div
+                q = lo + ((-(beta + r) // div * inv - lo) % period)
+                g = (y_q * q + beta + r) // y_last
+            elif residues:
+                t = -beta % y_last
+                i = bisect_right(residues, t)
+                q1 = qs[i - 1]
+                if lo <= q1 <= hi:
+                    r1 = (t - residues[i - 1]) % y_last
+                    r2 = (t - residues[i - 2]) % y_last
+                    if drift * (q1 - (lo if drift > 0 else hi)) < x_last * (r2 - r1):
+                        q, g = q1, (y_q * q1 + beta + r1) // y_last
+            if q > hi:
+                t, g = _walk(far_x, far_y, x_last, chain, beta + lo * y_q, hi - lo + 1)
+                q = lo + t
+            num = x_last * g - x_q * q - px
+            if found is None or num < found[0]:
+                found = (num, g, q)
+        return found
+
     return best
 
 
@@ -397,18 +430,16 @@ def _prefixes(cap: int, y_mid, x_mid):
 
 def _bounds(level, witness, tail, cap) -> tuple[BoundResult, BoundResult]:
     """(upper, lower): one head walk per direction at the widest level, else
-    one _best_last per direction and item.
+    one search per direction and item, from the level's one _last_search.
 
     The lower bound with head -c is the upper bound's problem with the
     head entry negated. Below the widest level an item is a head c and an
     earlier prefix (every tail coefficient but the last two). Heads run in
-    ascending order, earlier prefixes in lexicographic order, and
-    _best_last returns the smallest last prefix coordinate among ties, so
-    a later item wins only on a strictly better (value, |head|), which
+    ascending order, earlier prefixes in lexicographic order, and the
+    search returns the smallest last prefix coordinate among ties, so a
+    later item wins only on a strictly better (value, |head|), which
     reproduces the tie-break on the tail. Both directions and every head
-    share the level's Euclid chain of (y_q, y_last), its far point and,
-    when y_q > 0, its congruence data on a ray pair or else its residue
-    table, when that fits in _TABLE_BYTES (see _best_last).
+    share the search and what it built (see _last_search).
     """
     if tail.level != level + 1:
         raise ValueError("tail must start at level + 1")
@@ -417,45 +448,18 @@ def _bounds(level, witness, tail, cap) -> tuple[BoundResult, BoundResult]:
     if not 1 <= level <= witness.n - 1:
         raise ValueError("level is outside 1..n-1 for the witness")
     a = witness.y[level - 1]
-    y_last, x_last = witness.y[-1], tail.x[-1]
     if level == witness.n - 1:
-        bests = [_best_head(sign * a, y_last, x_last, cap) for sign in (1, -1)]
+        bests = [_best_head(sign * a, witness.y[-1], tail.x[-1], cap) for sign in (1, -1)]
     else:
-        y_mid, y_q = witness.y[level:-2], witness.y[-2]
-        x_mid, x_q = tail.x[:-2], tail.x[-2]
-        chain = [(*divmod(y_q, y_last), y_last)]
-        far_d = 4 * cap * cap * (x_last + x_q) + 1
-        far = (-far_d * x_last, (cap + 1) * x_last - x_q * far_d)
-        top, span = cap * y_last, 2 * cap * y_last
-        ray = table = None
-        if y_q:
-            dq, dr = divmod(span, y_q)
-            if x_q * y_last == x_last * y_q:
-                div = gcd(y_q, y_last)
-                ray = (div, y_last // div, pow(y_q // div, -1, y_last // div))
-            elif _table_bytes(cap, y_last) <= _TABLE_BYTES:
-                table = (x_last * y_q - y_last * x_q, y_last, *_residues(y_q, y_last, cap))
+        y_mid, x_mid = witness.y[level:-2], tail.x[:-2]
+        search = _last_search(witness, tail, cap)
         bests = []
         for sign in (1, -1):
             best = None
             for c in range(1, cap + 1):
                 ac = sign * a * c
                 for prefix, py, px in _prefixes(cap, y_mid, x_mid):
-                    # q is feasible iff y_q*q <= room and clamped iff the
-                    # same holds with room - span; floor((room - span)/y_q)
-                    # = fq - dq - (r < dr), so one division gives both
-                    beta = py + ac
-                    room = top - beta
-                    if y_q:
-                        fq, r = divmod(room, y_q)
-                        cq = fq - dq - (r < dr)
-                    else:  # G does not depend on q: every q or none
-                        fq = cap if room >= 0 else -cap - 1
-                        cq = cap if room >= span else -cap - 1
-                    found = _best_last(
-                        chain, far, min(cap, fq), min(cap, cq), beta, px, y_q, x_q, x_last, cap,
-                        ray, table,
-                    )
+                    found = search(py + ac, px)
                     if found is not None and _precedes((found[0], c), best):
                         num, g, q = found
                         best = (num, c, g, (*prefix, q))

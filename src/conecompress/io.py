@@ -195,6 +195,8 @@ def decode_result(data: object) -> CompressOutput:
         isinstance(p, int) and not isinstance(p, bool) for p in perm_raw
     ):
         raise FormatError("result: field 'perm' must be a list of integers")
+    if sorted(perm_raw) != list(range(len(x))):
+        raise FormatError("result: field 'perm' must be a permutation of 0..n-1")
     perm = tuple(perm_raw)
     bound = _decode_fraction(data.get("bound"), "result.bound")
     max_x = _str_int(data.get("max_x"), "result.max_x")

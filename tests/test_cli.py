@@ -443,6 +443,11 @@ class TestFileRoundTrips:
         doc["steps"][0]["upper"]["constraint"] = ["99", "-1"]
         with pytest.raises(FormatError, match="upper: constraint"):
             io.replay(io.decode_result(doc))
+        for perm in ([0, 0, 1, 2], [0, 1, 2]):
+            doc = io.encode_result(result)
+            doc["perm"] = perm
+            with pytest.raises(FormatError, match="perm"):
+                io.replay(io.decode_result(doc))
 
 
 class TestErrorClasses:

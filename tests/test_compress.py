@@ -280,19 +280,24 @@ class TestKernel:
         assert up.denominator + lo.denominator > cap
 
 
-def count_searches(monkeypatch, names=("_best_head", "_best_last")):
-    """Record every call to the named functions of compress, by name; by
-    default the two searches that compress._bounds runs."""
+def count_searches(monkeypatch, names=("_best_head", "_last_search")):
+    """Record each call of the named compress functions by name; for _last_search,
+    each call of the searches it builds. By default, the searches _bounds runs."""
     module = importlib.import_module("conecompress.compress")
     calls = []
+
+    def counted(name, function, build=False):
+        def call(*args):
+            if build:
+                return counted(name, function(*args))
+            calls.append(name)
+            return function(*args)
+
+        return call
+
     for name in names:
-        search = getattr(module, name)
-
-        def counted(*args, _search=search, _name=name):
-            calls.append(_name)
-            return _search(*args)
-
-        monkeypatch.setattr(module, name, counted)
+        function = getattr(module, name)
+        monkeypatch.setattr(module, name, counted(name, function, name == "_last_search"))
     return module, calls
 
 
@@ -311,14 +316,14 @@ class TestPlan:
     )
     def test_two_head_searches_per_planned_prefix(self, monkeypatch, width, y):
         # one head walk per direction at the widest level, else one
-        # _best_last per direction, head and earlier prefix
+        # search per direction, head and earlier prefix
         module, calls = count_searches(monkeypatch)
         level, cap, planned = plan(width + 1, 3)[-1]  # level 1 has cap d
         assert (level, cap, planned) == (1, 3, (1, 3, 3 * 7)[width - 1])
         w = witness(y[0], *y[-width:])
         module._bounds(1, w, PartialSolution(2, (1, 2, 4)[-width:]), cap)
         assert len(calls) == 2 * planned
-        assert set(calls) == {"_best_head" if width == 1 else "_best_last"}
+        assert set(calls) == {"_best_head" if width == 1 else "_last_search"}
 
     @pytest.mark.parametrize(
         "problem",
@@ -329,17 +334,26 @@ class TestPlan:
             generate(5, 1, 10, 1, scale=1, max_entry=10**12).public,
             ProblemInput(4, 1, (0, 0, 0, 5)),
             ProblemInput(4, 2, (7, 7, 7, 7)),
+            generate(6, 1, 12, 0).public,
         ],
-        ids=["n4-d1", "n5-d1", "n4-d2", "hard-regime", "zero-last-prefix", "equal"],
+        ids=["n4-d1", "n5-d1", "n4-d2", "hard-regime", "zero-last-prefix", "equal", "easy-n6-d1"],
     )
     def test_whole_run_equals_the_plan(self, monkeypatch, problem):
-        module, calls = count_searches(monkeypatch)
+        # each level below the widest builds one search, and at most one
+        # residue table, before both directions run all its items on it
+        module, calls = count_searches(monkeypatch, ("_best_head", "_last_search", "_residues"))
+        build = module._last_search
+        monkeypatch.setattr(
+            module, "_last_search", lambda *args: calls.append(args[1].level - 1) or build(*args)
+        )
         out = compress(problem)
         levels = plan(problem.n, problem.d)
-        assert [(rec.level, rec.cap) for rec in out.trace] == [
-            (level, cap) for level, cap, _ in levels
-        ]
-        assert len(calls) == sum(2 * searches for _, _, searches in levels)
+        assert [(rec.level, rec.cap) for rec in out.trace] == [level[:2] for level in levels]
+        want = ["_best_head", "_best_head"]
+        for level, _, searches in levels[1:]:
+            want += [level, *["_last_search"] * (2 * searches)]
+        assert [call for call in calls if call != "_residues"] == want
+        assert all(isinstance(calls[i - 1], int) for i, c in enumerate(calls) if c == "_residues")
 
     @pytest.mark.parametrize(
         "problem, walks",
@@ -356,7 +370,7 @@ class TestPlan:
         # item walks only when its congruence's solution is past its range;
         # the hard regime has no ray pair, and an item walks only when the
         # level's residue table does not certify its best last coordinate
-        module, calls = count_searches(monkeypatch, ("_best_head", "_best_last", "_walk"))
+        module, calls = count_searches(monkeypatch, ("_best_head", "_last_search", "_walk"))
         compress(problem)
         levels = plan(problem.n, problem.d)
         assert calls.count("_walk") == walks
@@ -400,26 +414,21 @@ class TestPlan:
 
 
 def brute_last(beta, px, y_q, y_last, x_q, x_last, cap):
-    """(num, G, q) of the smallest q in [-cap, cap] minimizing the
-    numerator over the feasible q, or None: a scan of _best_last's problem."""
-    best = None
+    """(num, G, q) of each feasible q in [-cap, cap], best first: by the
+    numerator, then by q, as G grows with q. A scan of a last search's problem."""
+    found = []
     for q in range(-cap, cap + 1):
         g = max(-cap, -(-(y_q * q + beta) // y_last))
-        if g <= cap and (best is None or x_last * g - x_q * q - px < best[0]):
-            best = (x_last * g - x_q * q - px, g, q)
-    return best
+        if g <= cap:
+            found.append((x_last * g - x_q * q - px, g, q))
+    return sorted(found)
 
 
 class TestBestLast:
+    """The search for the best last prefix coordinate that _last_search builds."""
+
     def test_exhaustive_against_a_scan_of_the_last_coordinate(self, monkeypatch):
-        module = importlib.import_module("conecompress.compress")
-        walk, walked = module._walk, []
-
-        def recorded(*args):
-            walked.append(args)
-            return walk(*args)
-
-        monkeypatch.setattr(module, "_walk", recorded)
+        module, calls = count_searches(monkeypatch, ("_residues", "_walk"))
         seen = dict.fromkeys(
             (
                 "none-feasible", "all-clamped", "some-clamped", "tie", "closed-form", "fallback",
@@ -432,31 +441,22 @@ class TestBestLast:
             for y_q, x_q in product(
                 sorted({0, 1, min(2, y_last), y_last - 1, y_last}), range(x_last + 1)
             ):
-                chain = [(*divmod(y_q, y_last), y_last)]
-                far_d = 4 * cap * cap * (x_last + x_q) + 1  # D of the docstring
-                far = (-far_d * x_last, (cap + 1) * x_last - x_q * far_d)
-                # the level's congruence data or residue table, as _bounds builds them
-                ray = table = None
+                calls.clear()
+                w, tail = SortedWitness((y_q, y_last), (0, 1)), PartialSolution(2, (x_q, x_last))
+                search = module._last_search(w, tail, cap)
+                table = "_residues" in calls
                 s = x_last * y_q - y_last * x_q
-                if y_q and s == 0:
-                    g = gcd(y_q, y_last)
-                    ray = (g, y_last // g, pow(y_q // g, -1, y_last // g))
-                elif y_q:
-                    table = (s, y_last, *module._residues(y_q, y_last, cap))
-                    pairs = sorted((y_q * q % y_last, q) for q in range(-cap, cap + 1))
-                    assert table[2:] == tuple(map(list, zip(*pairs)))
                 reach = cap * (y_last + y_q) + 2
                 for beta, px in product(range(-reach, reach + 1), (0, 5)):
                     qs = range(-cap, cap + 1)
                     feasible = [q for q in qs if y_q * q + beta <= cap * y_last]
                     clamped = [q for q in qs if y_q * q + beta <= -cap * y_last]
-                    hi = max(feasible, default=-cap - 1)
-                    clamped_hi = max(clamped, default=-cap - 1)
-                    walked.clear()
-                    got = module._best_last(
-                        chain, far, hi, clamped_hi, beta, px, y_q, x_q, x_last, cap, ray, table
-                    )
-                    want = brute_last(beta, px, y_q, y_last, x_q, x_last, cap)
+                    rest = [q for q in feasible if q not in clamped]
+                    calls.clear()
+                    got = search(beta, px)
+                    walked = "_walk" in calls
+                    found = brute_last(beta, px, y_q, y_last, x_q, x_last, cap)
+                    want = found[0] if found else None
                     assert got == want, (cap, y_last, x_last, y_q, x_q, beta, px)
                     if want is None:
                         seen["none-feasible"] += 1
@@ -465,37 +465,36 @@ class TestBestLast:
                         seen["all-clamped"] += 1
                     elif clamped:
                         seen["some-clamped"] += 1
-                    if ray is not None and len(clamped) < len(feasible):
-                        # walks only when the congruence's solution is past hi
+                    if y_q and s == 0 and rest:
+                        # a ray pair walks only when the congruence's solution is past hi
                         seen["fallback" if walked else "closed-form"] += 1
-                    if table is not None and len(clamped) < len(feasible):
+                    if table and rest:
                         # the certificate, from a sort of -(y_q*q + beta) mod y_last
-                        lo = clamped_hi + 1
-                        (r1, q1), (r2, _) = sorted(
-                            (-(y_q * q + beta) % y_last, q) for q in qs
-                        )[:2]
+                        (r1, q1), (r2, _) = sorted((-(y_q * q + beta) % y_last, q) for q in qs)[:2]
                         if r1 == r2:
                             assert y_last // gcd(y_q, y_last) <= 2 * cap
                             outcome = "equal-residues"
-                        elif not lo <= q1 <= hi:
+                        elif q1 not in rest:
                             outcome = "q1-out-of-range"
-                        elif s * q1 + x_last * r1 < min(s * lo, s * hi) + x_last * r2:
+                        elif s * q1 + x_last * r1 < min(s * rest[0], s * rest[-1]) + x_last * r2:
                             outcome = "certified S>0" if s > 0 else "certified S<0"
                         else:
                             outcome = "certificate-failed"
-                        assert bool(walked) != outcome.startswith("certified"), outcome
+                        assert walked != outcome.startswith("certified"), outcome
                         seen[outcome] += 1
-                    nums = [
-                        x_last * max(-cap, -(-(y_q * q + beta) // y_last)) - x_q * q - px
-                        for q in feasible
-                    ]
-                    seen["tie"] += nums.count(want[0]) > 1
+                    seen["tie"] += len(found) > 1 and found[1][0] == want[0]
         assert all(seen.values()), seen
 
 
 class TestResidueTable:
     """compress._residues holds 2*cap+1 residues, and a level builds it only
     when compress._table_bytes, an upper estimate of its peak, fits."""
+
+    def test_sorted_residues_and_their_q(self):
+        residues = importlib.import_module("conecompress.compress")._residues
+        for cap, y_last, y_q in product((1, 2, 3, 4), (1, 2, 5, 6, 11), (1, 2, 4, 5, 6, 10, 11)):
+            pairs = sorted((y_q * q % y_last, q) for q in range(-cap, cap + 1))
+            assert residues(y_q, y_last, cap) == tuple(map(list, zip(*pairs)))
 
     @pytest.mark.parametrize("digits", [2, 12, 100, 1000])
     def test_estimate_bounds_the_peak(self, digits):
@@ -622,7 +621,7 @@ class TestGoldenTraces:
     by the kernel that walked every item, before the residue table. Easy
     regime: generated at the default scale, where every level below the
     widest is a ray pair, digests computed by the kernel that walked every
-    item, before the congruence solve of _best_last.
+    item, before the per-item congruence solve.
     """
 
     @pytest.mark.parametrize("seed", range(6))
