@@ -22,14 +22,16 @@ the same problem with the head entry negated. The widest level j = n-1
 has no other tail coefficient and walks its heads, one walk per bound:
 its cap, 2**31 at n = 7 and d = 1, is far too large to enumerate. Every
 other level enumerates the heads c in [1, cap] and the earlier prefixes
-(c_{j+1}, ..., c_{n-2}) and walks the last prefix coordinate c_{n-1} in
-[-cap, cap]: a head has half the range of a prefix coordinate, so this
-is cap*(2*cap+1)**(n-j-2) searches of at most one walk each per bound,
-about half of walking the heads for each of the (2*cap+1)**(n-j-1)
-prefixes. Each level's cap and count depend on (n, d) alone: plan gives
-them, compress checks every count against a budget before the first
-level runs, and step and the bound searches run a level without checking
-again.
+(c_{j+1}, ..., c_{n-2}) in one pass: the earlier prefixes in
+lexicographic order, and under each of them the heads in ascending
+order, each head searched once per bound over the last prefix
+coordinate c_{n-1} in [-cap, cap]. A head has half the range of a
+prefix coordinate, so this is cap*(2*cap+1)**(n-j-2) searches of at
+most one walk each per bound, about half of walking the heads for each
+of the (2*cap+1)**(n-j-1) prefixes. Each level's cap and count depend
+on (n, d) alone: plan gives them, compress checks every count against a
+budget before the first level runs, and step and the bound searches run
+a level without checking again.
 
 What does not depend on the item is built once per level by
 _last_search, into the one search that both directions and every item of
@@ -430,15 +432,21 @@ def _prefixes(cap: int, y_mid, x_mid):
 
 def _bounds(level, witness, tail, cap) -> tuple[BoundResult, BoundResult]:
     """(upper, lower): one head walk per direction at the widest level, else
-    one search per direction and item, from the level's one _last_search.
+    one pass over the level's items, searched once per direction by the
+    level's one _last_search.
 
     The lower bound with head -c is the upper bound's problem with the
     head entry negated. Below the widest level an item is a head c and an
-    earlier prefix (every tail coefficient but the last two). Heads run in
-    ascending order, earlier prefixes in lexicographic order, and the
-    search returns the smallest last prefix coordinate among ties, so a
-    later item wins only on a strictly better (value, |head|), which
-    reproduces the tie-break on the tail. Both directions and every head
+    earlier prefix (every tail coefficient but the last two). One
+    _prefixes pass yields the earlier prefixes in lexicographic order;
+    under each, the heads run in ascending order, and each item is
+    searched with beta = py + a*c for the upper bound and py - a*c for the
+    lower. Each direction keeps its own best, replaced only on a strictly
+    better (value, |head|) (see _precedes). That reproduces the tie-break
+    on the tail: equal (value, |head|) means the same head, and for a
+    fixed head the prefixes still arrive in lexicographic order, so the
+    earlier prefix wins; within an item the search returns the smallest
+    last prefix coordinate among ties. Both directions and every item
     share the search and what it built (see _last_search).
     """
     if tail.level != level + 1:
@@ -449,22 +457,18 @@ def _bounds(level, witness, tail, cap) -> tuple[BoundResult, BoundResult]:
         raise ValueError("level is outside 1..n-1 for the witness")
     a = witness.y[level - 1]
     if level == witness.n - 1:
-        bests = [_best_head(sign * a, witness.y[-1], tail.x[-1], cap) for sign in (1, -1)]
+        upper, lower = [_best_head(s * a, witness.y[-1], tail.x[-1], cap) for s in (1, -1)]
     else:
         y_mid, x_mid = witness.y[level:-2], tail.x[:-2]
         search = _last_search(witness, tail, cap)
-        bests = []
-        for sign in (1, -1):
-            best = None
+        upper = lower = None
+        for prefix, py, px in _prefixes(cap, y_mid, x_mid):
             for c in range(1, cap + 1):
-                ac = sign * a * c
-                for prefix, py, px in _prefixes(cap, y_mid, x_mid):
-                    found = search(py + ac, px)
-                    if found is not None and _precedes((found[0], c), best):
-                        num, g, q = found
-                        best = (num, c, g, (*prefix, q))
-            bests.append(best)
-    upper, lower = bests
+                up, down = search(py + a * c, px), search(py - a * c, px)
+                if up is not None and _precedes((up[0], c), upper):
+                    upper = (up[0], c, up[1], (*prefix, up[2]))
+                if down is not None and _precedes((down[0], c), lower):
+                    lower = (down[0], c, down[1], (*prefix, down[2]))
     if upper is None or lower is None:
         # Unreachable for a sorted witness: (head, -1, 0, ...) is always
         # admissible for the upper case and (-1, 0, ...) for the lower.

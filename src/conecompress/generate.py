@@ -71,36 +71,35 @@ def generate(
     seed: int,
     scale: int = DEFAULT_SCALE,
     max_entry: int = DEFAULT_MAX_ENTRY,
-    retry_cap: int = DEFAULT_RETRY_CAP,
 ) -> HiddenInstance:
     """Draw a reproducible hidden instance for a fixed seed.
 
     The planted solution is uniform over non-zero vectors in
     [0, max_entry]**n (whole-vector redraw on zero); each matrix row is
     uniform over [-d, d]**n, redrawn until the planted solution satisfies
-    it or the per-row retry cap runs out.
+    it or the retry cap, DEFAULT_RETRY_CAP draws, runs out.
     """
     if n < 1 or d < 1 or m < 1 or scale < 1 or max_entry < 1:
         raise ValidationError("generate requires n, d, m, scale, max_entry >= 1")
     rng = Random(seed)
-    for _ in range(retry_cap):
+    for _ in range(DEFAULT_RETRY_CAP):
         planted = tuple(rng.randint(0, max_entry) for _ in range(n))
         if any(planted):
             break
     else:
         raise RejectionCapError(
-            f"no non-zero planted solution after {retry_cap} draws"
+            f"no non-zero planted solution after {DEFAULT_RETRY_CAP} draws"
         )
     rows = []
     for i in range(m):
-        for _ in range(retry_cap):
+        for _ in range(DEFAULT_RETRY_CAP):
             row = tuple(rng.randint(-d, d) for _ in range(n))
             if sum(a * v for a, v in zip(row, planted)) <= 0:
                 rows.append(row)
                 break
         else:
             raise RejectionCapError(
-                f"row {i}: no admissible row after {retry_cap} draws"
+                f"row {i}: no admissible row after {DEFAULT_RETRY_CAP} draws"
             )
     public = ProblemInput(n=n, d=d, y=tuple(v * scale for v in planted))
     return HiddenInstance(

@@ -12,10 +12,10 @@ form for the guaranteed bound on the output's maximum entry.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, ValidationError
 
@@ -161,36 +161,26 @@ def check_budget(items: int | None, budget: int, what: str) -> None:
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-class unlimited_int_digits:
+@contextmanager
+def unlimited_int_digits() -> Iterator[None]:
     """Lift Python's limit on decimal int<->str conversion for a block.
 
-    Also usable as a decorator, which lifts the limit for each call.
+    Also usable as a decorator, which lifts the limit for each call: the
+    decorator enters a fresh generator on every call.
 
     Entries, bounds and scan sizes can exceed the default 4300 digits.
     Where the limit is already lifted (0), as inside another such block,
     entering and leaving change nothing; otherwise leaving restores the
-    limit found on entry. An instance holds the limit it found, so nested
-    blocks each take their own instance.
+    limit found on entry, also when the block raises.
     """
-
-    def __enter__(self) -> None:
-        self._previous = _int_max_str_digits()
-        if self._previous:
-            sys.set_int_max_str_digits(0)
-
-    def __exit__(self, *exc_info) -> None:
-        if self._previous:
-            sys.set_int_max_str_digits(self._previous)
-
-    def __call__(self, fn: Callable) -> Callable:
-        @wraps(fn)
-        def lifted(*args, **kwargs):
-            if not _int_max_str_digits():  # already lifted: skip the instance
-                return fn(*args, **kwargs)
-            with unlimited_int_digits():
-                return fn(*args, **kwargs)
-
-        return lifted
+    previous = _int_max_str_digits()
+    if previous:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if previous:
+            sys.set_int_max_str_digits(previous)
 
 
 def bound_value(n: int, d: int) -> Fraction:

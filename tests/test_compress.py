@@ -340,8 +340,10 @@ class TestPlan:
     )
     def test_whole_run_equals_the_plan(self, monkeypatch, problem):
         # each level below the widest builds one search, and at most one
-        # residue table, before both directions run all its items on it
-        module, calls = count_searches(monkeypatch, ("_best_head", "_last_search", "_residues"))
+        # residue table, then starts one pass over its earlier prefixes, in
+        # which both directions run all its items on the search
+        names = ("_best_head", "_last_search", "_residues", "_prefixes")
+        module, calls = count_searches(monkeypatch, names)
         build = module._last_search
         monkeypatch.setattr(
             module, "_last_search", lambda *args: calls.append(args[1].level - 1) or build(*args)
@@ -351,7 +353,7 @@ class TestPlan:
         assert [(rec.level, rec.cap) for rec in out.trace] == [level[:2] for level in levels]
         want = ["_best_head", "_best_head"]
         for level, _, searches in levels[1:]:
-            want += [level, *["_last_search"] * (2 * searches)]
+            want += [level, "_prefixes", *["_last_search"] * (2 * searches)]
         assert [call for call in calls if call != "_residues"] == want
         assert all(isinstance(calls[i - 1], int) for i, c in enumerate(calls) if c == "_residues")
 

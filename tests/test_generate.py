@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 from pathlib import Path
 
 import pytest
@@ -55,9 +56,12 @@ class TestGenerate:
             inst = generate(n=1, d=1, m=1, seed=seed)
             assert inst.hidden_matrix[0][0] in (-1, 0)
 
-    def test_rejection_cap(self):
+    def test_rejection_cap(self, monkeypatch):
+        # conecompress.generate names the function, so patch the module itself
+        module = importlib.import_module("conecompress.generate")
+        monkeypatch.setattr(module, "DEFAULT_RETRY_CAP", 0)
         with pytest.raises(RejectionCapError):
-            generate(n=2, d=1, m=1, seed=0, retry_cap=0)
+            generate(n=2, d=1, m=1, seed=0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError, match="generate requires"):
